@@ -38,10 +38,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("document", help="path to the problem document (JSON)")
         p.add_argument("--semantics", choices=[s.value for s in Semantics],
                        help="override the document's strictness semantics")
-        p.add_argument("--horizon", type=int, help="override the exact-scan horizon")
+        p.add_argument("--horizon", type=int,
+                       help="accepted for compatibility; has no effect (the "
+                            "witness search scans no values)")
         p.add_argument("--grid-scale", help="scale factor for search grids (rational)")
         p.add_argument("--workers", type=int,
-                       help="parallel evaluation lanes for the witness search")
+                       help="accepted for compatibility; has no effect (the "
+                            "witness search is sequential)")
         p.add_argument("--output", help="write the JSON report to this path")
     return parser
 

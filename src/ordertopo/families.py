@@ -215,7 +215,8 @@ def values_iter(F: Family, upto: int) -> Iterator[Vec]:
         yield value(F, k)
 
 
-@functools.lru_cache(maxsize=None)
+# bounded so that a long-lived process keeps a fixed footprint
+@functools.lru_cache(maxsize=256)
 def form_of(F: Family) -> Form:
     """Closed-form tail of the family, valid from its ``start`` index."""
     if isinstance(F, Explicit):
@@ -300,9 +301,12 @@ def _direction_rule(F: Family) -> tuple[str, str]:
 
 
 def order_limit(F: Family) -> Vec:
-    """Order limit of a monotone family (its pointwise limit)."""
-    mono = monotonicity(F)
-    if mono.direction == "neither":
+    """Order limit of a monotone family (its pointwise limit).
+
+    Monotonicity comes from the template rule; ``monotonicity`` is the
+    exact cross-check, run by the replay and validation paths.
+    """
+    if _direction_rule(F)[0] == "neither":
         raise ValueError("order limit needs a monotone family")
     return form_limit(form_of(F))
 

@@ -18,10 +18,9 @@ survive monotone limits, and the rules below never certify anything else.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 from .carriers import (
     TAIL_SEQ,
@@ -40,6 +39,7 @@ from .families import (
     Explicit,
     Family,
     Scale,
+    _direction_rule,
     eventually_in,
     monotonicity,
     order_converges,
@@ -66,6 +66,7 @@ from .ordersets import (
     TailZero,
     Translate,
     Union,
+    _dedup,
     carrier_of,
     collect_vectors,
     grid_vectors,
@@ -76,13 +77,15 @@ from .ordersets import (
 )
 from .rationals import rat
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the witness search; defaults follow the artifact's grids."""
+    """Knobs for the witness search; defaults follow the artifact's grids.
+
+    ``horizon`` and ``workers`` are accepted for compatibility and have no
+    effect: the search does closed-form work only, so it scans no horizon,
+    and it tries its candidates one after another in list order.
+    """
 
     horizon: int = 64
     grid_scale: Fraction = Fraction(1)
@@ -256,43 +259,18 @@ def _certify_parts(parts: Sequence[SetExpr], trace: list[str]) -> Optional[list[
     return trace
 
 
-def _first_hit(items: Sequence[T], fn: Callable[[T], Optional[R]],
-               workers: int) -> Optional[R]:
-    """First non-None result in list order, regardless of evaluation order."""
-    if workers <= 1:
-        for item in items:
-            out = fn(item)
-            if out is not None:
-                return out
-        return None
-    chunk = max(8, workers * 4)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for base in range(0, len(items), chunk):
-            part = items[base:base + chunk]
-            for out in pool.map(fn, part):
-                if out is not None:
-                    return out
-    return None
-
-
-def _dedup_vecs(vecs: Sequence[Vec]) -> list[Vec]:
-    seen: set = set()
-    out = []
-    for v in vecs:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
 def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
                         include_nonmonotone: bool) -> list[Family]:
-    """The deterministic candidate grid, most promising templates first."""
+    """The deterministic candidate grid, most promising templates first.
+
+    The chain probes are left out: they can never refute (see
+    ``_chain_probes``), so the search only counts them.
+    """
     out: list[Family] = []
     if carrier == TAIL_SEQ:
         out.append(shift_family())
         out.append(shift_up_family())
-    anchors = _dedup_vecs(list(collect_vectors(expr)) + [zero(carrier)])
+    anchors = _dedup(list(collect_vectors(expr)) + [zero(carrier)])
     directions = [ones(carrier), -ones(carrier)]
     span = carrier.dim if carrier.kind == "findim" else 3
     for j in range(1, span + 1):
@@ -315,7 +293,6 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
             v = scale(s * gs, ag)
             for lam in config.lambdas:
                 out.append(Scale(v, lam))
-    out.extend(_chain_probes(expr, carrier, config))
     deduped: list[Family] = []
     seen: set = set()
     for f in out:
@@ -329,7 +306,9 @@ def _chain_probes(expr: SetExpr, carrier: Carrier, config: SearchConfig) -> list
     """Greedy monotone chains of grid points inside the set.
 
     Eventually-constant families can never leave their final value behind,
-    so these act as sanity probes rather than refuters.
+    so these act as sanity probes rather than refuters.  Each chain is an
+    ``Explicit`` family, so it equals no other candidate, and each starts at
+    a different grid point, so no two chains are equal.
     """
     points = [p for p in grid_vectors(carrier) if member(expr, p)]
     chains: list[Family] = []
@@ -347,28 +326,28 @@ def _chain_probes(expr: SetExpr, carrier: Carrier, config: SearchConfig) -> list
     return chains
 
 
-def _try_witness(expr: SetExpr, family: Family, include_nonmonotone: bool,
-                 horizon: int = 24) -> Optional[ClosureWitness]:
-    mono = monotonicity(family, horizon=horizon)
-    certificate = None
-    if mono.direction == "neither":
-        if not include_nonmonotone:
-            return None
-        limit = pointwise_limit(family)
-        got = order_converges(family, limit)
-        if not isinstance(got, Certificate):
-            return None
-        certificate = got
-        mode = "order-convergent"
-    else:
-        limit = order_limit(family)
-        mode = mono.direction
+def _try_witness(expr: SetExpr, family: Family,
+                 include_nonmonotone: bool) -> Optional[ClosureWitness]:
+    """One candidate by closed forms alone, cheapest rejection first.
+
+    The direction comes from the template rule and the limit from the
+    closed-form tail; ``replay_witness`` re-checks both by exact scans.
+    """
+    direction, _ = _direction_rule(family)
+    if direction == "neither" and not include_nonmonotone:
+        return None
+    limit = pointwise_limit(family)
     if member(expr, limit):
         return None
     ev = eventually_in(family, expr)
     if ev.status != "holds-from":
         return None
-    return ClosureWitness(family, mode, limit, ev.index, certificate)
+    if direction != "neither":
+        return ClosureWitness(family, direction, limit, ev.index)
+    certificate = order_converges(family, limit)
+    if not isinstance(certificate, Certificate):
+        return None
+    return ClosureWitness(family, "order-convergent", limit, ev.index, certificate)
 
 
 def _closure_check(expr: SetExpr, config: SearchConfig,
@@ -382,15 +361,17 @@ def _closure_check(expr: SetExpr, config: SearchConfig,
         return Verdict("unknown",
                        search_report=SearchReport(0, "no carrier to search"))
     candidates = _witness_candidates(norm, carrier, config, include_nonmonotone)
-    hit = _first_hit(candidates,
-                     lambda f: _try_witness(norm, f, include_nonmonotone,
-                                            min(config.horizon, 64)),
-                     config.workers)
-    if hit is not None:
-        return Verdict("refuted", witness=hit)
-    grids = (f"templates={len(candidates)} lambdas={list(map(str, config.lambdas))} "
+    for family in candidates:
+        hit = _try_witness(norm, family, include_nonmonotone)
+        if hit is not None:
+            return Verdict("refuted", witness=hit)
+    # the chain probes follow every other candidate and never refute, so
+    # they only add to the count
+    count = min(config.max_candidates,
+                len(candidates) + len(_chain_probes(norm, carrier, config)))
+    grids = (f"templates={count} lambdas={list(map(str, config.lambdas))} "
              f"gen_scales={list(map(str, config.gen_scales))} scale={config.grid_scale}")
-    return Verdict("unknown", search_report=SearchReport(len(candidates), grids))
+    return Verdict("unknown", search_report=SearchReport(count, grids))
 
 
 def check_quasi_order_closed(expr: SetExpr,

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ordertopo.carriers import TAIL_SEQ, Vec, findim, leq, ones, scale, unit, zero
-from ordertopo.families import Shift, value
+from ordertopo.eventual import form_limit
+from ordertopo.families import Shift, form_of, value
 from ordertopo.ordersets import (
     Band,
     Complement,
@@ -27,6 +28,7 @@ from ordertopo.topology import (
     DEFAULT_CONFIG,
     NeighborhoodCatalog,
     SearchConfig,
+    _chain_probes,
     check_order_closed,
     check_quasi_order_closed,
     interval_fit,
@@ -223,6 +225,73 @@ def test_search_deterministic_across_workers():
     seq = check_quasi_order_closed(s, replace(DEFAULT_CONFIG, workers=1))
     par = check_quasi_order_closed(s, replace(DEFAULT_CONFIG, workers=3))
     assert seq == par
+
+
+def open_box_complement(carrier):
+    return Complement(IntervalSet(open_interval(zero(carrier), ones(carrier))))
+
+
+@pytest.mark.parametrize("carrier, max_candidates, count", [
+    (findim(3), 600, 30),
+    (findim(3), 28, 28),
+    (TAIL_SEQ, 600, 32),
+])
+def test_unknown_search_report_counts_chain_probes(carrier, max_candidates, count):
+    s = open_box_complement(carrier)
+    config = replace(DEFAULT_CONFIG, max_candidates=max_candidates)
+    got = check_order_closed(s, config)
+    assert got.status == "unknown"
+    assert got.search_report.candidates == count
+    assert got.search_report.grids == (
+        f"templates={count} lambdas=['1/2', '1/3'] gen_scales=['1/2', '1', '2'] scale=1")
+    # the count includes the chain probes
+    assert len(_chain_probes(normalize_expr(s), carrier, config)) == config.max_chains
+
+
+def test_chain_probes_end_inside_the_set():
+    # an eventually constant chain converges to its last value; that value
+    # is a member, so no chain probe can ever refute closedness
+    cases = [
+        (open_box_complement(findim(3)), findim(3)),
+        (open_box_complement(TAIL_SEQ), TAIL_SEQ),
+        (Complement(IntervalSet(open_interval(-e1(), e1()))), TAIL_SEQ),
+    ]
+    for s, carrier in cases:
+        chains = _chain_probes(normalize_expr(s), carrier, DEFAULT_CONFIG)
+        assert chains
+        for fam in chains:
+            assert member(s, form_limit(form_of(fam)))
+
+
+def test_every_search_refutation_replays():
+    f2 = findim(2)
+    lower_right = Intersection((
+        Complement(HalfSpace(1, "le", F(0))),
+        Complement(HalfSpace(2, "ge", F(0))),
+        IntervalSet(closed_interval(-ones(f2), ones(f2))),
+    ))
+    base = [
+        (Complement(IntervalSet(open_interval(-e1(), e1()))), TAIL_SEQ),
+        (IntervalSet(open_interval(-e1(), e1())), TAIL_SEQ),
+        (TailZero(), TAIL_SEQ),
+        (Complement(TailZero()), TAIL_SEQ),
+        (IntervalSet(open_interval(zero(findim(3)), ones(findim(3)))), findim(3)),
+        (Complement(IntervalSet(closed_interval(zero(f2), ones(f2)))), f2),
+        (lower_right, f2),
+    ]
+    rng = random.Random(23)
+    cases = [s for s, _ in base]
+    for s, carrier in base:
+        cases.append(Translate(s, rand_vec(rng, carrier, max_den=4, max_prefix=2)))
+        cases.append(Dilate(s, F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))))
+    modes = set()
+    for s in cases:
+        for check in (check_quasi_order_closed, check_order_closed):
+            got = check(s)
+            if got.status == "refuted":
+                modes.add(got.witness.mode)
+                assert replay_witness(s, got.witness), (s, got.witness)
+    assert modes == {"increasing", "decreasing", "order-convergent"}
 
 
 # -- neighborhood catalogs -------------------------------------------------------------
