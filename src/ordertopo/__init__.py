@@ -17,7 +17,6 @@ from .carriers import (
     inf,
     leq,
     neg,
-    normalize,
     ones,
     pos,
     scale,

@@ -212,13 +212,6 @@ def neg(x: Vec) -> Vec:
     return sup(-x, zero(x.carrier))
 
 
-def normalize(x: Vec) -> Vec:
-    """Canonical form (idempotent; construction already canonicalizes)."""
-    if x.carrier.kind == "findim":
-        return Vec(x.carrier, x.coords)
-    return Vec(x.carrier, x.coords, x.tail)
-
-
 # -- distinguished vectors ---------------------------------------------------
 
 

@@ -38,13 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("document", help="path to the problem document (JSON)")
         p.add_argument("--semantics", choices=[s.value for s in Semantics],
                        help="override the document's strictness semantics")
-        p.add_argument("--horizon", type=int,
-                       help="accepted for compatibility; has no effect (the "
-                            "witness search scans no values)")
         p.add_argument("--grid-scale", help="scale factor for search grids (rational)")
-        p.add_argument("--workers", type=int,
-                       help="accepted for compatibility; has no effect (the "
-                            "witness search is sequential)")
         p.add_argument("--output", help="write the JSON report to this path")
     return parser
 
@@ -83,14 +77,6 @@ def _apply_overrides(doc, args):
     if args.semantics:
         doc = replace(doc, semantics=Semantics(args.semantics))
     config = doc.config
-    if args.horizon is not None:
-        if args.horizon < 1:
-            raise DocumentError("--horizon", "must be a positive integer")
-        config = replace(config, horizon=args.horizon)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise DocumentError("--workers", "must be a positive integer")
-        config = replace(config, workers=args.workers)
     if args.grid_scale is not None:
         try:
             scale = parse_rat(args.grid_scale)

@@ -20,6 +20,7 @@ from .serialize import (
     certificate_to_json,
     family_from_json,
     fit_to_json,
+    rat_from_json,
     refutation_to_json,
     setexpr_from_json,
     solidity_to_json,
@@ -41,6 +42,7 @@ from .topology import (
     check_quasi_order_closed,
     interval_fit,
     is_order_open,
+    neighborhood_catalog,
     symmetric_chain,
     tau_e_convergence_report,
 )
@@ -143,15 +145,9 @@ def parse_document(obj: Any, expected_task: Optional[str] = None) -> ProblemDoc:
 def _parse_search(obj: Any, path: str) -> SearchConfig:
     if obj is None:
         return DEFAULT_CONFIG
-    _expect_keys(obj, path, set(), {"horizon", "grid-scale", "workers"})
+    _expect_keys(obj, path, set(), {"grid-scale"})
     config = DEFAULT_CONFIG
-    if "horizon" in obj:
-        config = replace(config, horizon=_get_int(obj, "horizon", path))
-    if "workers" in obj:
-        config = replace(config, workers=_get_int(obj, "workers", path))
     if "grid-scale" in obj:
-        from .serialize import rat_from_json
-
         try:
             scale = rat_from_json(obj["grid-scale"])
         except ValueError as err:
@@ -239,7 +235,7 @@ def _run_convergence(doc: ProblemDoc) -> RunResult:
     else:
         order_body = {"status": "refuted", "refutation": refutation_to_json(got)}
         lines.append(f"order convergence: refuted at coordinate {got.coord}")
-    catalog = _neighborhoods(x, depth, doc.semantics)
+    catalog = neighborhood_catalog(x, depth, doc.semantics)
     tau = tau_e_convergence_report(family, x, catalog)
     if tau.consistent:
         lines.append(f"interval-topology probe: consistent over {depth} chain "
@@ -252,12 +248,6 @@ def _run_convergence(doc: ProblemDoc) -> RunResult:
         "interval_topology": tau_e_report_to_json(tau),
     })
     return RunResult(0, "\n".join(lines) + "\n", report)
-
-
-def _neighborhoods(x: Vec, depth: int, semantics: Semantics):
-    from .topology import neighborhood_catalog
-
-    return neighborhood_catalog(x, depth, semantics)
 
 
 def _run_fit(doc: ProblemDoc) -> RunResult:

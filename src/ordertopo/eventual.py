@@ -1,9 +1,11 @@
 """Closed-form tails of template sequences.
 
 Every template family in this package is, from a computable index on, one
-of four symbolic shapes: constant, geometric (c + v*lam^k), harmonic decay
-(c + p/(k+1+q)), or a two-level shift (fixed prefix, then a head value up
-to position k, then a constant tail value).  This module provides exact
+of three symbolic shapes: constant; monotone to a limit, c + v*kernel(k),
+where the kernel decreases strictly to zero and is geometric (lam^k) or
+harmonic (1/(k+1+q)); or a two-level shift (fixed prefix, then a head
+value up to position k, then a constant tail value).  The kernel owns its
+exact values and its exact threshold solving.  This module provides exact
 evaluation, limits, and -- the load-bearing part -- *settled* three-way
 comparisons: for any such sequence and rational bound, the eventual
 relation together with the least index from which it no longer changes.
@@ -46,6 +48,44 @@ def _least_true(pred: Callable[[int], bool], start: int) -> int:
     return hi
 
 
+# -- kernels ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Geom:
+    """k -> lam^k with 0 < lam < 1."""
+
+    lam: Fraction
+
+    def at(self, k: int) -> Fraction:
+        return self.lam ** k
+
+    def first_below(self, t: Fraction, start: int) -> int:
+        """Least k >= start with lam^k < t."""
+        return _least_true(lambda i: self.lam ** i < t, start)
+
+
+@dataclass(frozen=True)
+class Harmonic:
+    """k -> 1/(k+1+q) with q >= 0."""
+
+    q: Fraction
+
+    def at(self, k: int) -> Fraction:
+        return Fraction(1) / (k + 1 + self.q)
+
+    def first_below(self, t: Fraction, start: int) -> int:
+        """Least k >= start with 1/(k+1+q) < t, solved exactly."""
+        # 1/(k+1+q) < t  <=>  k > 1/t - 1 - q, floored in integers:
+        # with t = n/d and q = p/s, 1/t - 1 - q = (d*s - n*(s+p)) / (n*s)
+        n, d = t.numerator, t.denominator
+        p, s = self.q.numerator, self.q.denominator
+        return max(start, (d * s - n * (s + p)) // (n * s) + 1)
+
+
+Kernel = TUnion[Geom, Harmonic]
+
+
 # -- scalar sequences ----------------------------------------------------------
 
 
@@ -56,22 +96,12 @@ class ConstSeq:
 
 
 @dataclass(frozen=True)
-class GeomSeq:
-    """a + b * lam^k with b != 0 and 0 < lam < 1; strictly monotone to a."""
+class MonoSeq:
+    """a + b * kernel(k) with b != 0; strictly monotone to a."""
 
     a: Fraction
     b: Fraction
-    lam: Fraction
-    start: int = 0
-
-
-@dataclass(frozen=True)
-class DecaySeq:
-    """a + b/(k+1+q) with b != 0 and q >= 0; strictly monotone to a."""
-
-    a: Fraction
-    b: Fraction
-    q: Fraction
+    kernel: Kernel
     start: int = 0
 
 
@@ -85,30 +115,30 @@ class StepSeq:
     start: int = 0
 
 
-ScalarSeq = TUnion[ConstSeq, GeomSeq, DecaySeq, StepSeq]
+ScalarSeq = TUnion[ConstSeq, MonoSeq, StepSeq]
+
+
+def make_mono(a, b, kernel: Kernel, start=0) -> ScalarSeq:
+    return ConstSeq(rat(a), start) if b == 0 else MonoSeq(rat(a), rat(b), kernel, start)
 
 
 def make_geom(a, b, lam, start=0) -> ScalarSeq:
-    return ConstSeq(rat(a), start) if b == 0 else GeomSeq(rat(a), rat(b), rat(lam), start)
+    return make_mono(a, b, Geom(rat(lam)), start)
 
 
 def make_decay(a, b, q, start=0) -> ScalarSeq:
-    return ConstSeq(rat(a), start) if b == 0 else DecaySeq(rat(a), rat(b), rat(q), start)
+    return make_mono(a, b, Harmonic(rat(q)), start)
 
 
 def seq_eval(s: ScalarSeq, k: int) -> Fraction:
     if isinstance(s, ConstSeq):
         return s.a
-    if isinstance(s, GeomSeq):
-        return s.a + s.b * s.lam ** k
-    if isinstance(s, DecaySeq):
-        return s.a + s.b / (k + 1 + s.q)
+    if isinstance(s, MonoSeq):
+        return s.a + s.b * s.kernel.at(k)
     return s.after if k >= s.at else s.before
 
 
 def seq_limit(s: ScalarSeq) -> Fraction:
-    if isinstance(s, (GeomSeq, DecaySeq)):
-        return s.a
     if isinstance(s, StepSeq):
         return s.after
     return s.a
@@ -127,36 +157,19 @@ def settle_cmp(s: ScalarSeq, r: Fraction) -> tuple[Rel, int]:
         if _cmp(s.before, r) == rel:
             return rel, s.start
         return rel, max(s.start, s.at)
-    if isinstance(s, GeomSeq):
-        if s.b > 0:  # strictly decreasing, always above the limit
-            if r <= s.a:
-                return 1, s.start
-            k = _least_true(lambda i: seq_eval(s, i) < r, s.start)
-            return -1, k
-        if r >= s.a:  # strictly increasing, always below the limit
-            return -1, s.start
-        k = _least_true(lambda i: seq_eval(s, i) > r, s.start)
-        return 1, k
-    # DecaySeq: solve exactly
-    if s.b > 0:
-        if r <= s.a:
-            return 1, s.start
-        # a + b/(k+1+q) < r  <=>  k > b/(r-a) - 1 - q
-        x = s.b / (r - s.a) - 1 - s.q
-        return -1, max(s.start, floor_frac(x) + 1)
-    if r >= s.a:
-        return -1, s.start
-    x = -s.b / (s.a - r) - 1 - s.q
-    return 1, max(s.start, floor_frac(x) + 1)
+    # a + b*kernel(k) stays strictly on b's side of a; it crosses r exactly
+    # when r lies on that side, from the first k with kernel(k) < (r-a)/b
+    side = 1 if s.b > 0 else -1
+    if not (r > s.a if side > 0 else r < s.a):
+        return side, s.start
+    return -side, s.kernel.first_below((r - s.a) / s.b, s.start)
 
 
 def seq_neg(s: ScalarSeq) -> ScalarSeq:
     if isinstance(s, ConstSeq):
         return ConstSeq(-s.a, s.start)
-    if isinstance(s, GeomSeq):
-        return GeomSeq(-s.a, -s.b, s.lam, s.start)
-    if isinstance(s, DecaySeq):
-        return DecaySeq(-s.a, -s.b, s.q, s.start)
+    if isinstance(s, MonoSeq):
+        return MonoSeq(-s.a, -s.b, s.kernel, s.start)
     return StepSeq(-s.before, -s.after, s.at, s.start)
 
 
@@ -189,12 +202,10 @@ def seq_eventually_le(A: ScalarSeq, B: ScalarSeq) -> tuple[bool, int]:
         return A.a <= B.a, start
     if isinstance(A, ConstSeq):
         # B approaches la from one side and never touches it
-        side = 1 if _coef(B) > 0 else -1
-        return side > 0, start
+        return B.b > 0, start
     if isinstance(B, ConstSeq):
-        side = 1 if _coef(A) > 0 else -1
-        return side < 0, start
-    ca, cb = _coef(A), _coef(B)
+        return A.b < 0, start
+    ca, cb = A.b, B.b
     if ca < 0 < cb:
         return True, start
     if cb < 0 < ca:
@@ -206,50 +217,41 @@ def seq_eventually_le(A: ScalarSeq, B: ScalarSeq) -> tuple[bool, int]:
     return _le_same_limit_positive(A, B)
 
 
-def _coef(s: ScalarSeq) -> Fraction:
-    if isinstance(s, GeomSeq):
-        return s.b
-    if isinstance(s, DecaySeq):
-        return s.b
-    raise TypeError(f"no coefficient: {s!r}")
-
-
-def _le_same_limit_positive(A: ScalarSeq, B: ScalarSeq) -> tuple[bool, int]:
+def _le_same_limit_positive(A: MonoSeq, B: MonoSeq) -> tuple[bool, int]:
     """A, B share a limit and both approach it strictly from above."""
     start = max(A.start, B.start)
-    if isinstance(A, GeomSeq) and isinstance(B, GeomSeq):
-        if A.lam == B.lam:
+    ka, kb = A.kernel, B.kernel
+    if isinstance(ka, Geom) and isinstance(kb, Geom):
+        if ka.lam == kb.lam:
             return A.b <= B.b, start
-        if A.lam < B.lam:
+        if ka.lam < kb.lam:
             # (A - l)/(B - l) -> 0, single crossing
             k = _least_true(lambda i: seq_eval(A, i) <= seq_eval(B, i), start)
             return True, k
         k = _least_true(lambda i: seq_eval(A, i) > seq_eval(B, i), start)
         return False, k
-    if isinstance(A, DecaySeq) and isinstance(B, DecaySeq):
+    if isinstance(ka, Harmonic) and isinstance(kb, Harmonic):
         # difference sign is the sign of (bA - bB)k + bA(1+qB) - bB(1+qA)
         slope = A.b - B.b
-        const = A.b * (1 + B.q) - B.b * (1 + A.q)
+        const = A.b * (1 + kb.q) - B.b * (1 + ka.q)
         if slope == 0:
             return const <= 0, start
         x = -const / slope
         k = max(start, floor_frac(x) + 1)
         return slope < 0, k
-    if isinstance(A, GeomSeq) and isinstance(B, DecaySeq):
+    if isinstance(ka, Geom) and isinstance(kb, Harmonic):
         # A <= B  <=>  bA * lam^k * (k+1+q) <= bB; LHS decreasing past k*
-        k_star = _monotone_from(A.b, A.lam, B.q)
+        k_star = _monotone_from(A.b, ka.lam, kb.q)
         k = _least_true(
-            lambda i: A.b * A.lam ** i * (i + 1 + B.q) <= B.b, max(start, k_star)
+            lambda i: A.b * ka.lam ** i * (i + 1 + kb.q) <= B.b, max(start, k_star)
         )
         return True, k
-    if isinstance(A, DecaySeq) and isinstance(B, GeomSeq):
-        # geometric eventually drops below the harmonic tail
-        k_star = _monotone_from(B.b, B.lam, A.q)
-        k = _least_true(
-            lambda i: B.b * B.lam ** i * (i + 1 + A.q) < A.b, max(start, k_star)
-        )
-        return False, k
-    raise TypeError(f"uncomparable sequences: {A!r} vs {B!r}")
+    # harmonic against geometric: the geometric drops below the harmonic tail
+    k_star = _monotone_from(B.b, kb.lam, ka.q)
+    k = _least_true(
+        lambda i: B.b * kb.lam ** i * (i + 1 + ka.q) < A.b, max(start, k_star)
+    )
+    return False, k
 
 
 def _monotone_from(b: Fraction, lam: Fraction, q: Fraction) -> int:
@@ -269,18 +271,12 @@ class ConstForm:
 
 
 @dataclass(frozen=True)
-class GeomForm:
+class MonoForm:
+    """c + v * kernel(k), coordinatewise, with v != 0."""
+
     c: Vec
     v: Vec
-    lam: Fraction
-    start: int = 0
-
-
-@dataclass(frozen=True)
-class DecayForm:
-    c: Vec
-    p: Vec
-    q: Fraction
+    kernel: Kernel
     start: int = 0
 
 
@@ -298,7 +294,7 @@ class ShiftForm:
             object.__setattr__(self, "start", len(self.fixed))
 
 
-Form = TUnion[ConstForm, GeomForm, DecayForm, ShiftForm]
+Form = TUnion[ConstForm, MonoForm, ShiftForm]
 
 
 def make_shift_form(fixed, head, tailv, start) -> Form:
@@ -309,24 +305,14 @@ def make_shift_form(fixed, head, tailv, start) -> Form:
     return ShiftForm(fixed, head, tailv, start)
 
 
-def make_geom_form(c: Vec, v: Vec, lam, start=0) -> Form:
-    if v.is_zero():
-        return ConstForm(c, start)
-    return GeomForm(c, v, rat(lam), start)
-
-
-def make_decay_form(c: Vec, p: Vec, q, start=0) -> Form:
-    if p.is_zero():
-        return ConstForm(c, start)
-    return DecayForm(c, p, rat(q), start)
+def make_mono_form(c: Vec, v: Vec, kernel: Kernel, start=0) -> Form:
+    return ConstForm(c, start) if v.is_zero() else MonoForm(c, v, kernel, start)
 
 
 def form_carrier(form: Form) -> Carrier:
     if isinstance(form, ConstForm):
         return form.v.carrier
-    if isinstance(form, (GeomForm,)):
-        return form.c.carrier
-    if isinstance(form, DecayForm):
+    if isinstance(form, MonoForm):
         return form.c.carrier
     return TAIL_SEQ
 
@@ -337,10 +323,8 @@ def form_eval(form: Form, k: int) -> Vec:
         raise ValueError(f"form valid from {form.start}, got {k}")
     if isinstance(form, ConstForm):
         return form.v
-    if isinstance(form, GeomForm):
-        return form.c + form.v * form.lam ** k
-    if isinstance(form, DecayForm):
-        return form.c + form.p * (Fraction(1) / (k + 1 + form.q))
+    if isinstance(form, MonoForm):
+        return form.c + form.v * form.kernel.at(k)
     pad = (form.head,) * (k - len(form.fixed))
     return Vec.seq(form.fixed + pad, form.tailv)
 
@@ -349,9 +333,7 @@ def form_limit(form: Form) -> Vec:
     """Pointwise limit vector (always a carrier element for these shapes)."""
     if isinstance(form, ConstForm):
         return form.v
-    if isinstance(form, GeomForm):
-        return form.c
-    if isinstance(form, DecayForm):
+    if isinstance(form, MonoForm):
         return form.c
     return Vec.seq(form.fixed, form.head)
 
@@ -359,38 +341,9 @@ def form_limit(form: Form) -> Vec:
 def form_prefix_bound(form: Form) -> int:
     if isinstance(form, ConstForm):
         return form.v.prefix_len
-    if isinstance(form, GeomForm):
+    if isinstance(form, MonoForm):
         return max(form.c.prefix_len, form.v.prefix_len)
-    if isinstance(form, DecayForm):
-        return max(form.c.prefix_len, form.p.prefix_len)
     return len(form.fixed)
-
-
-def form_sup_tail(form: Form) -> Vec:
-    """Pointwise supremum of the values at indices >= start."""
-    if isinstance(form, ConstForm):
-        return form.v
-    if isinstance(form, GeomForm):
-        bump = form.v.map(lambda b: max(b * form.lam ** form.start, ZERO))
-        return form.c + bump
-    if isinstance(form, DecayForm):
-        bump = form.p.map(lambda b: max(b / (form.start + 1 + form.q), ZERO))
-        return form.c + bump
-    pad = (form.head,) * (form.start - len(form.fixed))
-    return Vec.seq(form.fixed + pad, max(form.head, form.tailv))
-
-
-def form_inf_tail(form: Form) -> Vec:
-    if isinstance(form, ConstForm):
-        return form.v
-    if isinstance(form, GeomForm):
-        bump = form.v.map(lambda b: min(b * form.lam ** form.start, ZERO))
-        return form.c + bump
-    if isinstance(form, DecayForm):
-        bump = form.p.map(lambda b: min(b / (form.start + 1 + form.q), ZERO))
-        return form.c + bump
-    pad = (form.head,) * (form.start - len(form.fixed))
-    return Vec.seq(form.fixed + pad, min(form.head, form.tailv))
 
 
 def affine_form(form: Form, t: Fraction, b: Optional[Vec] = None) -> Form:
@@ -401,14 +354,10 @@ def affine_form(form: Form, t: Fraction, b: Optional[Vec] = None) -> Form:
     if isinstance(form, ConstForm):
         v = form.v * t
         return ConstForm(v + b if b is not None else v, form.start)
-    if isinstance(form, GeomForm):
+    if isinstance(form, MonoForm):
         c = form.c * t
-        return make_geom_form(c + b if b is not None else c, form.v * t, form.lam,
+        return make_mono_form(c + b if b is not None else c, form.v * t, form.kernel,
                               form.start)
-    if isinstance(form, DecayForm):
-        c = form.c * t
-        return make_decay_form(c + b if b is not None else c, form.p * t, form.q,
-                               form.start)
     # shift: offsets with a longer prefix than the fixed part push the start up
     off = b if b is not None else Vec.seq((), 0)
     width = max(len(form.fixed), off.prefix_len)
@@ -427,10 +376,8 @@ def coord_profile(form: Form, j: int) -> ScalarSeq:
     """Scalar sequence of the values at fixed 1-based position j."""
     if isinstance(form, ConstForm):
         return ConstSeq(form.v.coord(j), form.start)
-    if isinstance(form, GeomForm):
-        return make_geom(form.c.coord(j), form.v.coord(j), form.lam, form.start)
-    if isinstance(form, DecayForm):
-        return make_decay(form.c.coord(j), form.p.coord(j), form.q, form.start)
+    if isinstance(form, MonoForm):
+        return make_mono(form.c.coord(j), form.v.coord(j), form.kernel, form.start)
     if j <= len(form.fixed):
         return ConstSeq(form.fixed[j - 1], form.start)
     if j <= form.start:
@@ -442,10 +389,8 @@ def tail_profile(form: Form) -> ScalarSeq:
     """Scalar sequence of the tail field of the values (tailseq only)."""
     if isinstance(form, ConstForm):
         return ConstSeq(form.v.tail, form.start)  # type: ignore[arg-type]
-    if isinstance(form, GeomForm):
-        return make_geom(form.c.tail, form.v.tail, form.lam, form.start)
-    if isinstance(form, DecayForm):
-        return make_decay(form.c.tail, form.p.tail, form.q, form.start)
+    if isinstance(form, MonoForm):
+        return make_mono(form.c.tail, form.v.tail, form.kernel, form.start)
     return ConstSeq(form.tailv, form.start)
 
 
@@ -562,23 +507,19 @@ def running_sup_form(form: Form, early_sup: Optional[Vec]) -> Form:
     if isinstance(form, ConstForm):
         v = form.v if early_sup is None else sup(form.v, early_sup)
         return ConstForm(v, form.start)
-    if isinstance(form, (GeomForm, DecayForm)):
-        if isinstance(form, GeomForm):
-            c, coefv, phi = form.c, form.v, lambda j, k: form.lam ** k
-        else:
-            c, coefv, phi = form.c, form.p, lambda j, k: Fraction(1) / (k + 1 + form.q)
+    if isinstance(form, MonoForm):
         width = max(form_prefix_bound(form),
                     early_sup.prefix_len if early_sup is not None else 0)
         start = form.start
         new_c: dict = {}
         new_b: dict = {}
         for lab in _labels(carrier, width):
-            cc = c.at(lab)
-            bb = coefv.at(lab)
+            cc = form.c.at(lab)
+            bb = form.v.at(lab)
             e = early_sup.at(lab) if early_sup is not None else None
             if bb >= 0:
                 # decreasing coordinate: the running max freezes at form.start
-                top = cc + bb * phi(0, form.start)
+                top = cc + bb * form.kernel.at(form.start)
                 if e is not None:
                     top = max(top, e)
                 new_c[lab], new_b[lab] = top, ZERO
@@ -589,19 +530,14 @@ def running_sup_form(form: Form, early_sup: Optional[Vec]) -> Form:
                     new_c[lab], new_b[lab] = e, ZERO
                 else:
                     if e is not None:
-                        seq = (make_geom(cc, bb, form.lam, form.start)
-                               if isinstance(form, GeomForm)
-                               else make_decay(cc, bb, form.q, form.start))
-                        rel, k0 = settle_cmp(seq, e)
+                        rel, k0 = settle_cmp(make_mono(cc, bb, form.kernel, form.start), e)
                         if rel <= 0:
                             raise AssertionError("increasing coordinate must pass e")
                         start = max(start, k0)
                     new_c[lab], new_b[lab] = cc, bb
         cvec = _build_vec(carrier, width, lambda j: new_c[j], new_c.get("tail", ZERO))
         bvec = _build_vec(carrier, width, lambda j: new_b[j], new_b.get("tail", ZERO))
-        if isinstance(form, GeomForm):
-            return make_geom_form(cvec, bvec, form.lam, start)
-        return make_decay_form(cvec, bvec, form.q, start)
+        return make_mono_form(cvec, bvec, form.kernel, start)
     # shift form
     s = form.start
     fixed = form.fixed + (form.head,) * (s - len(form.fixed))
@@ -623,22 +559,19 @@ def meet_const_form(form: Form, cap: Vec) -> Form:
     carrier = form_carrier(form)
     if isinstance(form, ConstForm):
         return ConstForm(inf(form.v, cap), form.start)
-    if isinstance(form, (GeomForm, DecayForm)):
-        coefv = form.v if isinstance(form, GeomForm) else form.p
+    if isinstance(form, MonoForm):
         width = max(form_prefix_bound(form), cap.prefix_len)
         start = form.start
         new_c: dict = {}
         new_b: dict = {}
         for lab in _labels(carrier, width):
             cc = form.c.at(lab)
-            bb = coefv.at(lab)
+            bb = form.v.at(lab)
             m = cap.at(lab)
             if bb == 0:
                 new_c[lab], new_b[lab] = min(cc, m), ZERO
                 continue
-            seq = (make_geom(cc, bb, form.lam, form.start)
-                   if isinstance(form, GeomForm)
-                   else make_decay(cc, bb, form.q, form.start))
+            seq = make_mono(cc, bb, form.kernel, form.start)
             if bb > 0:
                 # strictly decreasing, always above cc
                 if m <= cc:
@@ -659,9 +592,7 @@ def meet_const_form(form: Form, cap: Vec) -> Form:
                     new_c[lab], new_b[lab] = m, ZERO
         cvec = _build_vec(carrier, width, lambda j: new_c[j], new_c.get("tail", ZERO))
         bvec = _build_vec(carrier, width, lambda j: new_b[j], new_b.get("tail", ZERO))
-        if isinstance(form, GeomForm):
-            return make_geom_form(cvec, bvec, form.lam, start)
-        return make_decay_form(cvec, bvec, form.q, start)
+        return make_mono_form(cvec, bvec, form.kernel, start)
     width = max(len(form.fixed), cap.prefix_len)
     fixed = tuple(
         min(form.fixed[j] if j < len(form.fixed) else form.head, cap.coord(j + 1))
@@ -675,14 +606,10 @@ def abs_centered_form(form: Form) -> Form:
     """Form of k -> |value(k)| for a form whose limit is zero."""
     if isinstance(form, ConstForm):
         return ConstForm(abs(form.v), form.start)
-    if isinstance(form, GeomForm):
+    if isinstance(form, MonoForm):
         if not form.c.is_zero():
             raise ValueError("absolute form needs a zero limit")
-        return GeomForm(form.c, abs(form.v), form.lam, form.start)
-    if isinstance(form, DecayForm):
-        if not form.c.is_zero():
-            raise ValueError("absolute form needs a zero limit")
-        return DecayForm(form.c, abs(form.p), form.q, form.start)
+        return MonoForm(form.c, abs(form.v), form.kernel, form.start)
     if any(f != 0 for f in form.fixed) or form.head != 0:
         raise ValueError("absolute form needs a zero limit")
     return ShiftForm(form.fixed, form.head, abs(form.tailv), form.start)

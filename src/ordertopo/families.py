@@ -30,9 +30,10 @@ from .carriers import (
 )
 from .eventual import (
     ConstForm,
-    DecayForm,
     Form,
-    GeomForm,
+    Geom,
+    Harmonic,
+    MonoForm,
     ShiftForm,
     abs_centered_form,
     affine_form,
@@ -44,8 +45,7 @@ from .eventual import (
     form_prefix_bound,
     form_settle_ne,
     form_settle_vs_vec,
-    make_decay_form,
-    make_geom_form,
+    make_mono_form,
     running_sup_form,
     meet_const_form,
     settle_cmp,
@@ -66,6 +66,7 @@ from .ordersets import (
     TailZero,
     Translate,
     Union,
+    closed_interval,
     member,
     support_horizon,
 )
@@ -175,7 +176,7 @@ def family_carrier(F: Family) -> Carrier:
 
 
 def index_base(F: Family) -> int:
-    """First index of the family as a net (shифt templates start at 1)."""
+    """First index of the family as a net (shift templates start at 1)."""
     if isinstance(F, Shift):
         return 1
     if isinstance(F, RunningSupMeet):
@@ -195,24 +196,27 @@ def value(F: Family, k: int) -> Vec:
         return F.v * F.lam ** k
     if isinstance(F, CoordDecay):
         return F.c + F.p * (Fraction(1) / (k + 1 + F.q))
-    k0 = index_base(F.base)
-    acc = value(F.base, k0)
-    for j in range(k0 + 1, max(k, k0) + 1):
-        acc = sup(acc, value(F.base, j))
+    for acc in _running_sups(F, max(k, index_base(F))):
+        pass
     return inf(acc, F.cap)
 
 
 def values_iter(F: Family, upto: int) -> Iterator[Vec]:
     """value(k) for k = index_base .. upto, computed incrementally."""
-    k0 = index_base(F)
     if isinstance(F, RunningSupMeet):
-        acc = None
-        for base_val in values_iter(F.base, upto):
-            acc = base_val if acc is None else sup(acc, base_val)
+        for acc in _running_sups(F, upto):
             yield inf(acc, F.cap)
         return
-    for k in range(k0, upto + 1):
+    for k in range(index_base(F), upto + 1):
         yield value(F, k)
+
+
+def _running_sups(F: RunningSupMeet, upto: int) -> Iterator[Vec]:
+    """Uncapped running suprema of the base values, index_base .. upto."""
+    acc = None
+    for base_val in values_iter(F.base, upto):
+        acc = base_val if acc is None else sup(acc, base_val)
+        yield acc
 
 
 # bounded so that a long-lived process keeps a fixed footprint
@@ -226,15 +230,13 @@ def form_of(F: Family) -> Form:
             return ConstForm(Vec.seq((), F.head), 1)
         return ShiftForm((), F.head, F.tail, 1)
     if isinstance(F, Scale):
-        return make_geom_form(zero(F.v.carrier), F.v, F.lam, 0)
+        return make_mono_form(zero(F.v.carrier), F.v, Geom(F.lam), 0)
     if isinstance(F, CoordDecay):
-        return make_decay_form(F.c, F.p, F.q, 0)
+        return make_mono_form(F.c, F.p, Harmonic(F.q), 0)
     base_form = form_of(F.base)
-    k0 = index_base(F.base)
     early = None
-    for j in range(k0, base_form.start):
-        v = value(F.base, j)
-        early = v if early is None else sup(early, v)
+    for early in _running_sups(F, base_form.start - 1):
+        pass
     return meet_const_form(running_sup_form(base_form, early), F.cap)
 
 
@@ -350,6 +352,9 @@ def order_converges(F: Family, x: Vec) -> TUnion[Certificate, Refutation]:
         return Certificate(x, dominating_family(F, x))
     label = _differing_label(L, x)
     form = form_of(F)
+    if label == "tail" and isinstance(form, ShiftForm):
+        # a shift's far positions tend to its head, not to its tail field
+        label = max(L.prefix_len, x.prefix_len) + 1
     seq = tail_profile(form) if label == "tail" else coord_profile(form, label)
     mid = (L.at(label) + x.at(label)) / 2
     _, k = settle_cmp(seq, mid)
@@ -385,21 +390,18 @@ def dominating_family(F: Family, x: Vec) -> Family:
     # coefficients so the early indices are covered as well
     dev = abs_centered_form(affine_form(form_of(F), Fraction(1), -x))
     k0 = index_base(F)
-    early = [(k, abs(value(F, k) - x)) for k in range(k0, dev.start)]
+    early = [(k, abs(v - x)) for k, v in enumerate(values_iter(F, dev.start - 1), k0)]
     if isinstance(dev, ConstForm):
         vals = [d for _, d in early] + [zero(carrier)]
         padded = [vals[0]] * k0 + vals
         return Explicit(tuple(_suffix_sups(padded)))
-    if isinstance(dev, GeomForm):
+    if isinstance(dev, MonoForm):
         v_star = dev.v
         for k, d in early:
-            v_star = sup(v_star, d * (Fraction(1) / dev.lam ** k))
-        return Scale(v_star, dev.lam)
-    if isinstance(dev, DecayForm):
-        p_star = dev.p
-        for k, d in early:
-            p_star = sup(p_star, d * (k + 1 + dev.q))
-        return CoordDecay(zero(carrier), p_star, dev.q)
+            v_star = sup(v_star, d * (1 / dev.kernel.at(k)))
+        if isinstance(dev.kernel, Geom):
+            return Scale(v_star, dev.kernel.lam)
+        return CoordDecay(zero(carrier), v_star, dev.kernel.q)
     delta = abs(dev.tailv)
     for k, d in early:
         if any(d.coord(j) != 0 for j in range(1, k + 1)):
@@ -438,16 +440,10 @@ def validate_certificate(F: Family, cert: Certificate, horizon: int = 48) -> boo
     for m, t in cert.threshold_map:
         radius = value(dom, m)
         lo, hi = cert.limit - radius, cert.limit + radius
-        got = eventually_in(F, IntervalSet(_closed(lo, hi)))
+        got = eventually_in(F, IntervalSet(closed_interval(lo, hi)))
         if got.status != "holds-from" or got.index > t:
             return False
     return True
-
-
-def _closed(lo: Vec, hi: Vec):
-    from .ordersets import closed_interval
-
-    return closed_interval(lo, hi)
 
 
 # -- eventual membership -------------------------------------------------------------

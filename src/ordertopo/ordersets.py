@@ -24,7 +24,6 @@ from .carriers import (
     leq,
     scale,
     strictly_everywhere_below,
-    sup,
     unit,
     zero,
 )
@@ -190,18 +189,6 @@ class Dilate(SetExpr):
         object.__setattr__(self, "factor", rat(self.factor))
         if self.factor == 0:
             raise ValueError("dilation factor must be nonzero")
-
-
-EMPTY = Union(())
-FULL = Intersection(())
-
-
-def union(*parts: SetExpr) -> Union:
-    return Union(tuple(parts))
-
-
-def intersection(*parts: SetExpr) -> Intersection:
-    return Intersection(tuple(parts))
 
 
 def member(expr: SetExpr, z: Vec) -> bool:

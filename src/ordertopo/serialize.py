@@ -16,10 +16,8 @@ from .carriers import TAIL_SEQ, Carrier, Vec, findim
 from .families import (
     Certificate,
     CoordDecay,
-    EventualVerdict,
     Explicit,
     Family,
-    Monotonicity,
     Refutation,
     RunningSupMeet,
     Scale,
@@ -48,8 +46,6 @@ from .theorems import TheoremReport
 from .topology import (
     ClosureWitness,
     FitResult,
-    NeighborhoodCatalog,
-    ProbeReport,
     SearchReport,
     TauEReport,
     Verdict,
@@ -334,29 +330,6 @@ def refutation_to_json(ref: Refutation) -> dict:
     }
 
 
-def monotonicity_to_json(mono: Monotonicity) -> dict:
-    return {
-        "direction": mono.direction,
-        "rule": mono.rule,
-        "checked_to": mono.checked_to,
-        "violations": [
-            {"index": k, "value": vec_to_json(a), "next": vec_to_json(b)}
-            for k, a, b in mono.violations
-        ],
-    }
-
-
-def eventual_to_json(ev: EventualVerdict) -> dict:
-    out: dict = {"status": ev.status}
-    if ev.status == "holds-from":
-        out["index"] = ev.index
-    elif ev.status == "fails-from":
-        out["index"] = ev.index
-        out["infinitely_many_failures"] = True
-        out["witness_index"] = ev.witness_index
-    return out
-
-
 def witness_to_json(w: ClosureWitness) -> dict:
     out = {
         "family": family_to_json(w.family),
@@ -415,25 +388,6 @@ def fit_to_json(fit: Optional[FitResult]) -> Optional[dict]:
         "steps": fit.steps,
         "evidence": fit.evidence,
         "samples": fit.samples,
-    }
-
-
-def probe_report_to_json(r: ProbeReport) -> dict:
-    return {
-        "base_status": r.base_status,
-        "all_certified": r.all_certified,
-        "entries": [
-            {"operation": e.operation, "parameter": e.parameter, "status": e.status}
-            for e in r.entries
-        ],
-    }
-
-
-def catalog_to_json(cat: NeighborhoodCatalog) -> dict:
-    return {
-        "center": vec_to_json(cat.center),
-        "chain": [interval_to_json(iv) for iv in cat.chain],
-        "extras": [interval_to_json(iv) for iv in cat.extras],
     }
 
 

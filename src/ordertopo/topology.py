@@ -26,6 +26,7 @@ from .carriers import (
     TAIL_SEQ,
     Carrier,
     Vec,
+    aligned,
     leq,
     ones,
     scale,
@@ -80,21 +81,14 @@ from .rationals import rat
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the witness search; defaults follow the artifact's grids.
+    """Knobs for the witness search; defaults follow the artifact's grids."""
 
-    ``horizon`` and ``workers`` are accepted for compatibility and have no
-    effect: the search does closed-form work only, so it scans no horizon,
-    and it tries its candidates one after another in list order.
-    """
-
-    horizon: int = 64
     grid_scale: Fraction = Fraction(1)
     lambdas: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1, 3))
     gen_scales: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1), Fraction(2))
     chain_length: int = 8
     max_chains: int = 4
     max_candidates: int = 600
-    workers: int = 1
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -612,8 +606,6 @@ def _interval_contained(iv: Interval, expr: SetExpr) -> Optional[bool]:
 
 
 def _boxes_disjoint(a: Vec, b: Vec, lo: Vec, hi: Vec) -> bool:
-    from .carriers import aligned
-
     bs, los = aligned(b, lo)
     if any(bv < lv for bv, lv in zip(bs, los)):
         return True

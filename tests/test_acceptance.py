@@ -312,7 +312,7 @@ def test_oracle_equivalence():
             checked += 1
 
 
-# -- 7. determinism across runs and parallelism -------------------------------------------
+# -- 7. determinism across runs ----------------------------------------------------------
 
 
 def _run_cli(argv):
@@ -363,11 +363,10 @@ def test_cli_determinism():
                 doc_path = root / name
                 doc_path.write_text(json.dumps(doc))
                 outputs = []
-                for tag, workers in (("a", "1"), ("b", "1"), ("c", "5")):
+                for tag in ("a", "b", "c"):
                     out = root / f"{name}.{tag}.json"
                     code, text = _run_cli([
-                        commands[name], str(doc_path),
-                        "--workers", workers, "--output", str(out),
+                        commands[name], str(doc_path), "--output", str(out),
                     ])
                     assert code == 0
                     outputs.append((text.encode(), out.read_bytes()))

@@ -11,7 +11,6 @@ from ordertopo.carriers import (
     inf,
     leq,
     neg,
-    normalize,
     ones,
     pos,
     scale,
@@ -78,9 +77,6 @@ def test_add_scale():
 def test_normalize_absorbs_redundant_prefix():
     assert Vec.seq([1, 1, 1], 1) == Vec.seq([], 1)
     assert Vec.seq([1, 0], 0) == Vec.seq([1], 0)
-    x = Vec.seq([1], 0)
-    assert normalize(x) == x
-    assert normalize(normalize(x)) == normalize(x)
 
 
 def test_equality_is_canonical():

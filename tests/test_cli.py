@@ -246,10 +246,9 @@ def test_contradicting_theorem_report_maps_to_exit_3(tmp_path, monkeypatch):
 def test_byte_identical_reports_across_runs_and_workers(tmp_path):
     path = write_doc(tmp_path, "doc.json", counterexample_doc())
     outputs = []
-    for run, workers in ((1, "1"), (2, "1"), (3, "4")):
+    for run in (1, 2, 3):
         out_path = tmp_path / f"report{run}.json"
-        code, text = run_cli(["check-set", path, "--workers", workers,
-                              "--output", str(out_path)])
+        code, text = run_cli(["check-set", path, "--output", str(out_path)])
         assert code == 0
         outputs.append((text, out_path.read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
@@ -269,3 +268,10 @@ def test_parse_document_strictness():
             "task": {"check-set": {"set": {"tail-zero": True}, "mode": "solid"}},
             "search": {"threads": 2},
         })
+    for search in ({"workers": 2}, {"horizon": 12}):
+        with pytest.raises(DocumentError):
+            parse_document({
+                "carrier": {"kind": "tailseq"},
+                "task": {"check-set": {"set": {"tail-zero": True}, "mode": "solid"}},
+                "search": search,
+            })

@@ -5,8 +5,8 @@ import pytest
 from ordertopo.carriers import TAIL_SEQ, Vec, findim, inf, sup, zero
 from ordertopo.eventual import (
     ConstSeq,
-    DecaySeq,
-    GeomSeq,
+    Geom,
+    Harmonic,
     StepSeq,
     affine_form,
     far_members,
@@ -14,8 +14,9 @@ from ordertopo.eventual import (
     form_eventually_le,
     form_limit,
     form_settle_vs_vec,
-    make_decay_form,
-    make_geom_form,
+    make_decay,
+    make_geom,
+    make_mono_form,
     make_shift_form,
     meet_const_form,
     running_sup_form,
@@ -44,7 +45,7 @@ def test_settle_const():
 
 def test_settle_decay_exact_threshold():
     # 1/(k+1) <= 1/10 from k = 9; the three-way relation settles at 10
-    s = DecaySeq(F(0), F(1), F(0))
+    s = make_decay(F(0), F(1), F(0))
     rel, k = settle_cmp(s, F(1, 10))
     assert rel == -1 and k == 10
     assert seq_eval(s, 9) == F(1, 10)
@@ -52,24 +53,39 @@ def test_settle_decay_exact_threshold():
 
 
 def test_settle_decay_never_crossing():
-    s = DecaySeq(F(1), F(1), F(0))
+    s = make_decay(F(1), F(1), F(0))
     assert check_settle(s, F(1)) == (1, 0)
     assert check_settle(s, F(0)) == (1, 0)
 
 
 def test_settle_decay_negative_direction():
-    s = DecaySeq(F(1), F(-2), F(1))
+    s = make_decay(F(1), F(-2), F(1))
     rel, k = check_settle(s, F(1, 2))
     assert rel == 1
     assert seq_eval(s, k) > F(1, 2) and seq_eval(s, k - 1) <= F(1, 2)
 
 
 def test_settle_geom():
-    s = GeomSeq(F(0), F(3), F(1, 2))
+    s = make_geom(F(0), F(3), F(1, 2))
     rel, k = check_settle(s, F(1, 16))
     assert rel == -1
     assert seq_eval(s, k) < F(1, 16) <= seq_eval(s, k - 1)
-    assert check_settle(GeomSeq(F(2), F(-1), F(1, 3)), F(2)) == (-1, 0)
+    assert check_settle(make_geom(F(2), F(-1), F(1, 3)), F(2)) == (-1, 0)
+
+
+def test_first_below_is_the_least_index():
+    import random
+
+    rng = random.Random(8103)
+    kernels = [Geom(F(1, 2)), Geom(F(2, 3)), Geom(F(9, 10)),
+               Harmonic(F(0)), Harmonic(F(1, 2)), Harmonic(F(3))]
+    for _ in range(400):
+        kernel = rng.choice(kernels)
+        t = F(rng.randint(1, 40), rng.randint(1, 400))
+        start = rng.randrange(6)
+        k = kernel.first_below(t, start)
+        assert k >= start and kernel.at(k) < t, (kernel, t, start)
+        assert k == start or kernel.at(k - 1) >= t, (kernel, t, start)
 
 
 def test_settle_step():
@@ -81,22 +97,22 @@ def test_settle_step():
 @pytest.mark.parametrize("a,b", [
     (ConstSeq(F(1)), ConstSeq(F(2))),
     (ConstSeq(F(2)), ConstSeq(F(1))),
-    (GeomSeq(F(0), F(1), F(1, 2)), GeomSeq(F(0), F(2), F(1, 2))),
-    (GeomSeq(F(0), F(2), F(1, 2)), GeomSeq(F(0), F(1), F(1, 2))),
-    (GeomSeq(F(0), F(1), F(1, 3)), GeomSeq(F(0), F(1, 5), F(1, 2))),
-    (GeomSeq(F(0), F(1, 5), F(1, 2)), GeomSeq(F(0), F(1), F(1, 3))),
-    (DecaySeq(F(0), F(1), F(0)), DecaySeq(F(0), F(2), F(5))),
-    (DecaySeq(F(0), F(2), F(5)), DecaySeq(F(0), F(1), F(0))),
-    (DecaySeq(F(1), F(1), F(0)), DecaySeq(F(1), F(1), F(3))),
-    (GeomSeq(F(0), F(5), F(1, 2)), DecaySeq(F(0), F(1, 7), F(0))),
-    (DecaySeq(F(0), F(1, 7), F(0)), GeomSeq(F(0), F(5), F(1, 2))),
-    (GeomSeq(F(1), F(-1), F(1, 2)), DecaySeq(F(1), F(-3), F(0))),
-    (DecaySeq(F(1), F(-3), F(0)), GeomSeq(F(1), F(-1), F(1, 2))),
-    (GeomSeq(F(0), F(-1), F(1, 2)), DecaySeq(F(0), F(1), F(0))),
-    (ConstSeq(F(0)), GeomSeq(F(0), F(1), F(1, 2))),
-    (GeomSeq(F(0), F(1), F(1, 2)), ConstSeq(F(0))),
-    (StepSeq(F(9), F(0), 4), DecaySeq(F(0), F(1), F(0))),
-    (DecaySeq(F(3), F(1), F(0)), ConstSeq(F(1))),
+    (make_geom(F(0), F(1), F(1, 2)), make_geom(F(0), F(2), F(1, 2))),
+    (make_geom(F(0), F(2), F(1, 2)), make_geom(F(0), F(1), F(1, 2))),
+    (make_geom(F(0), F(1), F(1, 3)), make_geom(F(0), F(1, 5), F(1, 2))),
+    (make_geom(F(0), F(1, 5), F(1, 2)), make_geom(F(0), F(1), F(1, 3))),
+    (make_decay(F(0), F(1), F(0)), make_decay(F(0), F(2), F(5))),
+    (make_decay(F(0), F(2), F(5)), make_decay(F(0), F(1), F(0))),
+    (make_decay(F(1), F(1), F(0)), make_decay(F(1), F(1), F(3))),
+    (make_geom(F(0), F(5), F(1, 2)), make_decay(F(0), F(1, 7), F(0))),
+    (make_decay(F(0), F(1, 7), F(0)), make_geom(F(0), F(5), F(1, 2))),
+    (make_geom(F(1), F(-1), F(1, 2)), make_decay(F(1), F(-3), F(0))),
+    (make_decay(F(1), F(-3), F(0)), make_geom(F(1), F(-1), F(1, 2))),
+    (make_geom(F(0), F(-1), F(1, 2)), make_decay(F(0), F(1), F(0))),
+    (ConstSeq(F(0)), make_geom(F(0), F(1), F(1, 2))),
+    (make_geom(F(0), F(1), F(1, 2)), ConstSeq(F(0))),
+    (StepSeq(F(9), F(0), 4), make_decay(F(0), F(1), F(0))),
+    (make_decay(F(3), F(1), F(0)), ConstSeq(F(1))),
 ])
 def test_seq_eventually_le_agrees_with_brute_force(a, b):
     ok, k = seq_eventually_le(a, b)
@@ -132,7 +148,7 @@ def test_affine_form_shift_with_offset():
 def test_affine_form_decay():
     c = Vec.fin([1, -1])
     p = Vec.fin([1, 2])
-    f = make_decay_form(c, p, F(0))
+    f = make_mono_form(c, p, Harmonic(F(0)))
     g = affine_form(f, F(1, 2), Vec.fin([1, 1]))
     for k in range(0, 10):
         assert form_eval(g, k) == form_eval(f, k) * F(1, 2) + Vec.fin([1, 1])
@@ -157,7 +173,7 @@ def test_form_settle_vs_vec_shift_against_interval_endpoint():
 def test_form_settle_vs_vec_decay():
     from ordertopo.carriers import leq
 
-    f = make_decay_form(zero(findim(2)), Vec.fin([1, 2]), F(0))
+    f = make_mono_form(zero(findim(2)), Vec.fin([1, 2]), Harmonic(F(0)))
     bound = Vec.fin([F(1, 10), F(1, 10)])
     ok, k = form_settle_vs_vec(f, bound, "le")
     assert ok is True
@@ -172,7 +188,7 @@ def test_form_settle_vs_vec_decay():
 def test_running_sup_form_matches_brute_force_decay_mixed():
     c = Vec.fin([0, 1])
     p = Vec.fin([2, -3])  # coordinate 1 decreasing, coordinate 2 increasing
-    f = make_decay_form(c, p, F(1, 2))
+    f = make_mono_form(c, p, Harmonic(F(1, 2)))
     rs = running_sup_form(f, None)
     acc = form_eval(f, 0)
     for k in range(0, 30):
@@ -182,7 +198,7 @@ def test_running_sup_form_matches_brute_force_decay_mixed():
 
 
 def test_running_sup_form_with_early_supremum():
-    f = make_geom_form(Vec.fin([1, 0]), Vec.fin([-2, 1]), F(1, 2), 0)
+    f = make_mono_form(Vec.fin([1, 0]), Vec.fin([-2, 1]), Geom(F(1, 2)))
     early = Vec.fin([F(1, 2), 5])
     rs = running_sup_form(f, early)
     acc = early
@@ -204,7 +220,7 @@ def test_running_sup_form_shift():
 
 def test_meet_const_form_matches_brute_force():
     cap = Vec.fin([F(1, 3), F(1, 2)])
-    f = make_decay_form(zero(findim(2)), Vec.fin([1, -1]), F(0))
+    f = make_mono_form(zero(findim(2)), Vec.fin([1, -1]), Harmonic(F(0)))
     m = meet_const_form(f, cap)
     for k in range(m.start, m.start + 25):
         assert form_eval(m, k) == inf(form_eval(f, k), cap)
@@ -244,11 +260,11 @@ def _random_seq(rng):
     if kind == 1:
         b = F(rng.choice([-1, 1]) * rng.randint(1, 8), rng.randint(1, 6))
         lam = rng.choice([F(1, 2), F(1, 3), F(2, 3), F(3, 4)])
-        return GeomSeq(a, b, lam, rng.randrange(3))
+        return make_geom(a, b, lam, rng.randrange(3))
     if kind == 2:
         b = F(rng.choice([-1, 1]) * rng.randint(1, 8), rng.randint(1, 6))
         q = rng.choice([F(0), F(1, 2), F(2)])
-        return DecaySeq(a, b, q, rng.randrange(3))
+        return make_decay(a, b, q, rng.randrange(3))
     after = F(rng.randint(-8, 8), rng.randint(1, 6))
     return StepSeq(a, after, rng.randrange(1, 6), rng.randrange(3))
 

@@ -237,6 +237,31 @@ def test_scale_refutes_wrong_limit():
         assert abs(value(f, k).at(out.coord) - out.candidate.at(out.coord)) >= out.gap
 
 
+@pytest.mark.parametrize("f,x", [
+    (Shift(F(-4, 3), F(2)), Vec.seq([], F(5, 3))),
+    (Shift(F(0), F(1)), Vec.seq([], 1)),
+    (running_sup_meet(shift_up_family(), Vec.seq([], 2)), Vec.seq([], 0)),
+])
+def test_shift_tail_refutation_replays(f, x):
+    # the candidate differs from the limit only at the tail label, but a
+    # shift's far positions tend to its head: the refutation names the first
+    # position past both prefixes, and its gap holds there
+    out = order_converges(f, x)
+    assert isinstance(out, Refutation)
+    assert out.coord == max(out.limit.prefix_len, x.prefix_len) + 1
+    for k in range(out.separated_from, out.separated_from + 201):
+        assert abs(value(f, k).at(out.coord) - x.at(out.coord)) >= out.gap, k
+
+
+def test_tail_refutation_of_non_shift_keeps_tail_label():
+    f = Scale(ones(TAIL_SEQ), F(1, 2))
+    out = order_converges(f, ones(TAIL_SEQ))
+    assert isinstance(out, Refutation)
+    assert out.coord == "tail"
+    for k in range(out.separated_from, out.separated_from + 201):
+        assert abs(value(f, k).tail - 1) >= out.gap
+
+
 def test_mixed_decay_order_converges_without_monotonicity():
     f = CoordDecay(Vec.fin([1, -1]), Vec.fin([1, -2]))
     cert = order_converges(f, Vec.fin([1, -1]))
@@ -270,6 +295,25 @@ def test_dominating_for_running_sup_meet_over_shift_up():
     assert isinstance(cert, Certificate)
     assert isinstance(cert.dominating, Shift)
     assert validate_certificate(f, cert)
+
+
+def test_value_of_nested_running_sup_is_linear(monkeypatch):
+    import ordertopo.families as families
+
+    calls = 0
+    real = families.value
+
+    def counting(F, k):
+        nonlocal calls
+        calls += 1
+        return real(F, k)
+
+    monkeypatch.setattr(families, "value", counting)
+    inner = running_sup_meet(CoordDecay(Vec.fin([0, 1]), Vec.fin([2, -3])), Vec.fin([1, 1]))
+    f = running_sup_meet(inner, Vec.fin([F(1, 2), 1]))
+    got = families.value(f, 200)
+    assert calls <= 2 * 200 + 10
+    assert got == list(values_iter(f, 200))[-1]
 
 
 def test_dominating_requires_true_limit():
