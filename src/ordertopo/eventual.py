@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union as TUnion
+from typing import Callable, Optional, Sequence, Union as TUnion
 
-from .carriers import TAIL_SEQ, Carrier, Vec, inf, sup
+from .carriers import TAIL_SEQ, Carrier, CoordLabel, Vec, inf, sup
 from .rationals import ZERO, floor_frac, rat
 
 Rel = int  # -1 below, 0 equal, +1 above
@@ -187,16 +187,11 @@ def seq_eventually_le(A: ScalarSeq, B: ScalarSeq) -> tuple[bool, int]:
         ok, k = seq_eventually_le(A, ConstSeq(B.after, max(B.at, B.start)))
         return ok, max(k, B.at, start)
     la, lb = seq_limit(A), seq_limit(B)
-    if la < lb:
+    if la != lb:
         m = (la + lb) / 2
         _, ka = settle_cmp(A, m)
         _, kb = settle_cmp(B, m)
-        return True, max(start, ka, kb)
-    if la > lb:
-        m = (la + lb) / 2
-        _, ka = settle_cmp(A, m)
-        _, kb = settle_cmp(B, m)
-        return False, max(start, ka, kb)
+        return la < lb, max(start, ka, kb)
     # equal limits
     if isinstance(A, ConstSeq) and isinstance(B, ConstSeq):
         return A.a <= B.a, start
@@ -239,23 +234,17 @@ def _le_same_limit_positive(A: MonoSeq, B: MonoSeq) -> tuple[bool, int]:
         x = -const / slope
         k = max(start, floor_frac(x) + 1)
         return slope < 0, k
-    if isinstance(ka, Geom) and isinstance(kb, Harmonic):
-        # A <= B  <=>  bA * lam^k * (k+1+q) <= bB; LHS decreasing past k*
-        k_star = _monotone_from(A.b, ka.lam, kb.q)
-        k = _least_true(
-            lambda i: A.b * ka.lam ** i * (i + 1 + kb.q) <= B.b, max(start, k_star)
-        )
-        return True, k
-    # harmonic against geometric: the geometric drops below the harmonic tail
-    k_star = _monotone_from(B.b, kb.lam, ka.q)
-    k = _least_true(
-        lambda i: B.b * kb.lam ** i * (i + 1 + ka.q) < A.b, max(start, k_star)
-    )
-    return False, k
+    # one geometric and one harmonic kernel: the geometric side drops below
+    # the harmonic one for good, from an index past k* on
+    ok = isinstance(ka, Geom)
+    g, h = (ka, kb) if ok else (kb, ka)
+    k = _least_true(lambda i: (A.b * ka.at(i) <= B.b * kb.at(i)) == ok,
+                    max(start, _monotone_from(g.lam, h.q)))
+    return ok, k
 
 
-def _monotone_from(b: Fraction, lam: Fraction, q: Fraction) -> int:
-    """Index past which b * lam^k * (k+1+q) is strictly decreasing."""
+def _monotone_from(lam: Fraction, q: Fraction) -> int:
+    """Index past which lam^k * (k+1+q) is strictly decreasing."""
     # ratio < 1  <=>  lam (k+2+q) < k+1+q  <=>  k (1-lam) > lam(2+q) - (1+q)
     x = (lam * (2 + q) - (1 + q)) / (1 - lam)
     return max(0, floor_frac(x) + 1)
@@ -426,6 +415,34 @@ def _rel_ok(rel: Rel, op: str) -> bool:
     return rel == 0
 
 
+def _and(conds: Sequence[tuple[bool, int]]) -> tuple[bool, int]:
+    """Conjunction of settled truths: true from the latest index, or false
+    from the earliest failing one."""
+    if all(ok for ok, _ in conds):
+        return True, max(k for _, k in conds)
+    return False, min(k for ok, k in conds if not ok)
+
+
+def _or(conds: Sequence[tuple[bool, int]]) -> tuple[bool, int]:
+    if any(ok for ok, _ in conds):
+        return True, min(k for ok, k in conds if ok)
+    return False, max(k for _, k in conds)
+
+
+def _positions(form: Form, width: int) -> list[tuple[CoordLabel, ScalarSeq, int]]:
+    """(label, profile, present_from) for every position of the values.
+
+    Findim forms list their coordinates.  Tailseq forms list positions
+    1..width, then the far members beyond ``width`` under the label "tail";
+    a far member's value occurs at some position from ``present_from`` on.
+    """
+    carrier = form_carrier(form)
+    if carrier.kind == "findim":
+        return [(j, coord_profile(form, j), form.start) for j in range(1, carrier.dim + 1)]
+    return ([(j, coord_profile(form, j), form.start) for j in range(1, width + 1)]
+            + [("tail", seq, present) for seq, present in far_members(form, width)])
+
+
 def form_settle_vs_vec(form: Form, w: Vec, op: str) -> tuple[bool, int]:
     """Eventual truth of ``value(k) op w`` coordinatewise (tail included).
 
@@ -433,111 +450,61 @@ def form_settle_vs_vec(form: Form, w: Vec, op: str) -> tuple[bool, int]:
     """
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
-    carrier = form_carrier(form)
-    conds: list[tuple[ScalarSeq, Fraction, int]] = []  # (seq, bound, present_from)
-    if carrier.kind == "findim":
-        for j in range(1, carrier.dim + 1):
-            conds.append((coord_profile(form, j), w.coord(j), form.start))
-    else:
-        bound = max(form_prefix_bound(form), w.prefix_len)
-        for j in range(1, bound + 1):
-            conds.append((coord_profile(form, j), w.coord(j), form.start))
-        for seq, present in far_members(form, bound):
-            conds.append((seq, w.tail, present))  # type: ignore[arg-type]
-    ok_from = form.start
-    fail_from: Optional[int] = None
-    for seq, r, present in conds:
-        rel, k = settle_cmp(seq, r)
-        if _rel_ok(rel, op):
-            ok_from = max(ok_from, k)
-        else:
-            cand = max(k, present)
-            fail_from = cand if fail_from is None else min(fail_from, cand)
-    if fail_from is not None:
-        return False, fail_from
-    return True, ok_from
-
-
-def form_settle_ne(form: Form, w: Vec) -> tuple[bool, int]:
-    """Eventual truth of ``value(k) != w``."""
-    carrier = form_carrier(form)
-    conds: list[tuple[ScalarSeq, Fraction, int]] = []
-    if carrier.kind == "findim":
-        for j in range(1, carrier.dim + 1):
-            conds.append((coord_profile(form, j), w.coord(j), form.start))
-    else:
-        bound = max(form_prefix_bound(form), w.prefix_len)
-        for j in range(1, bound + 1):
-            conds.append((coord_profile(form, j), w.coord(j), form.start))
-        for seq, present in far_members(form, bound):
-            conds.append((seq, w.tail, present))  # type: ignore[arg-type]
-    ne_from: Optional[int] = None
-    eq_from = form.start
-    for seq, r, present in conds:
-        rel, k = settle_cmp(seq, r)
-        if rel != 0:
-            cand = max(k, present)
-            ne_from = cand if ne_from is None else min(ne_from, cand)
-        else:
-            eq_from = max(eq_from, k)
-    if ne_from is not None:
-        return True, ne_from
-    return False, eq_from
+    conds = []
+    for label, seq, present in _positions(form, max(form_prefix_bound(form), w.prefix_len)):
+        rel, k = settle_cmp(seq, w.at(label))
+        ok = _rel_ok(rel, op)
+        # a failing position only counts once its value is present
+        conds.append((ok, k if ok else max(k, present)))
+    return _and(conds)
 
 
 # -- closure under running suprema and meets ---------------------------------------
 
 
-def _build_vec(carrier: Carrier, width: int, coord_fn, tail_value) -> Vec:
-    coords = tuple(coord_fn(j) for j in range(1, width + 1))
-    if carrier.kind == "findim":
-        return Vec(carrier, coords)
-    return Vec(carrier, coords, rat(tail_value))
+def _per_label(form: MonoForm, other: Optional[Vec], rule) -> Form:
+    """Rebuild a MonoForm label by label against a vector (or None).
 
+    ``rule(c, v, w)`` gets the form's limit and coefficient at one label and
+    the vector's entry there (None without a vector); it returns the new
+    limit and coefficient there and the index from which they hold.
+    """
+    carrier = form_carrier(form)
+    width = max(form_prefix_bound(form), other.prefix_len if other is not None else 0)
+    tail = carrier.kind == "tailseq"
+    labels = list(range(1, width + 1)) + (["tail"] if tail else [])
+    cs, vs, ks = zip(*(rule(form.c.at(lab), form.v.at(lab),
+                            None if other is None else other.at(lab)) for lab in labels))
 
-def _labels(carrier: Carrier, width: int):
-    if carrier.kind == "findim":
-        return [j for j in range(1, carrier.dim + 1)]
-    return [j for j in range(1, width + 1)] + ["tail"]
+    def vec(xs) -> Vec:
+        return Vec(carrier, xs[:width], xs[width] if tail else None)
+
+    return make_mono_form(vec(cs), vec(vs), form.kernel, max((form.start,) + ks))
 
 
 def running_sup_form(form: Form, early_sup: Optional[Vec]) -> Form:
     """Form of k -> early_sup v (sup of value(j) for form.start <= j <= k)."""
-    carrier = form_carrier(form)
     if isinstance(form, ConstForm):
         v = form.v if early_sup is None else sup(form.v, early_sup)
         return ConstForm(v, form.start)
     if isinstance(form, MonoForm):
-        width = max(form_prefix_bound(form),
-                    early_sup.prefix_len if early_sup is not None else 0)
-        start = form.start
-        new_c: dict = {}
-        new_b: dict = {}
-        for lab in _labels(carrier, width):
-            cc = form.c.at(lab)
-            bb = form.v.at(lab)
-            e = early_sup.at(lab) if early_sup is not None else None
-            if bb >= 0:
+        def rule(c, v, e):
+            if v >= 0:
                 # decreasing coordinate: the running max freezes at form.start
-                top = cc + bb * form.kernel.at(form.start)
-                if e is not None:
-                    top = max(top, e)
-                new_c[lab], new_b[lab] = top, ZERO
-            else:
-                # increasing to cc: either an early value dominates forever
-                # or the curve overtakes it at a computable index
-                if e is not None and e >= cc:
-                    new_c[lab], new_b[lab] = e, ZERO
-                else:
-                    if e is not None:
-                        rel, k0 = settle_cmp(make_mono(cc, bb, form.kernel, form.start), e)
-                        if rel <= 0:
-                            raise AssertionError("increasing coordinate must pass e")
-                        start = max(start, k0)
-                    new_c[lab], new_b[lab] = cc, bb
-        cvec = _build_vec(carrier, width, lambda j: new_c[j], new_c.get("tail", ZERO))
-        bvec = _build_vec(carrier, width, lambda j: new_b[j], new_b.get("tail", ZERO))
-        return make_mono_form(cvec, bvec, form.kernel, start)
+                top = c + v * form.kernel.at(form.start)
+                return (top if e is None else max(top, e)), ZERO, form.start
+            # increasing to c: either an early value dominates forever or
+            # the curve overtakes it at a computable index
+            if e is None:
+                return c, v, form.start
+            if e >= c:
+                return e, ZERO, form.start
+            rel, k0 = settle_cmp(make_mono(c, v, form.kernel, form.start), e)
+            if rel <= 0:
+                raise AssertionError("increasing coordinate must pass e")
+            return c, v, k0
+
+        return _per_label(form, early_sup, rule)
     # shift form
     s = form.start
     fixed = form.fixed + (form.head,) * (s - len(form.fixed))
@@ -556,43 +523,26 @@ def running_sup_form(form: Form, early_sup: Optional[Vec]) -> Form:
 
 def meet_const_form(form: Form, cap: Vec) -> Form:
     """Form of k -> value(k) ^ cap."""
-    carrier = form_carrier(form)
     if isinstance(form, ConstForm):
         return ConstForm(inf(form.v, cap), form.start)
     if isinstance(form, MonoForm):
-        width = max(form_prefix_bound(form), cap.prefix_len)
-        start = form.start
-        new_c: dict = {}
-        new_b: dict = {}
-        for lab in _labels(carrier, width):
-            cc = form.c.at(lab)
-            bb = form.v.at(lab)
-            m = cap.at(lab)
-            if bb == 0:
-                new_c[lab], new_b[lab] = min(cc, m), ZERO
-                continue
-            seq = make_mono(cc, bb, form.kernel, form.start)
-            if bb > 0:
-                # strictly decreasing, always above cc
-                if m <= cc:
-                    new_c[lab], new_b[lab] = m, ZERO
-                elif m >= seq_eval(seq, form.start):
-                    new_c[lab], new_b[lab] = cc, bb
-                else:
-                    rel, k0 = settle_cmp(seq, m)
-                    start = max(start, k0)
-                    new_c[lab], new_b[lab] = cc, bb
-            else:
-                # strictly increasing, always below cc
-                if m >= cc:
-                    new_c[lab], new_b[lab] = cc, bb
-                else:
-                    rel, k0 = settle_cmp(seq, m)
-                    start = max(start, k0)
-                    new_c[lab], new_b[lab] = m, ZERO
-        cvec = _build_vec(carrier, width, lambda j: new_c[j], new_c.get("tail", ZERO))
-        bvec = _build_vec(carrier, width, lambda j: new_b[j], new_b.get("tail", ZERO))
-        return make_mono_form(cvec, bvec, form.kernel, start)
+        def rule(c, v, m):
+            if v == 0:
+                return min(c, m), ZERO, form.start
+            seq = make_mono(c, v, form.kernel, form.start)
+            if v > 0:
+                # strictly decreasing, always above c
+                if m <= c:
+                    return m, ZERO, form.start
+                if m >= seq_eval(seq, form.start):
+                    return c, v, form.start
+                return c, v, settle_cmp(seq, m)[1]
+            # strictly increasing, always below c
+            if m >= c:
+                return c, v, form.start
+            return m, ZERO, settle_cmp(seq, m)[1]
+
+        return _per_label(form, cap, rule)
     width = max(len(form.fixed), cap.prefix_len)
     fixed = tuple(
         min(form.fixed[j] if j < len(form.fixed) else form.head, cap.coord(j + 1))
@@ -630,19 +580,11 @@ def form_eventually_le(lhs: Form, rhs: Form) -> tuple[bool, int]:
         for j in range(1, bound + 1):
             conds.append((coord_profile(lhs, j), coord_profile(rhs, j)))
         # far zones align positionwise for shift forms; otherwise compare tails
-        lf = far_members(lhs, bound)
-        rf = far_members(rhs, bound)
         if isinstance(lhs, ShiftForm) and isinstance(rhs, ShiftForm):
             conds.append((ConstSeq(lhs.head, start), ConstSeq(rhs.head, start)))
             conds.append((ConstSeq(lhs.tailv, start), ConstSeq(rhs.tailv, start)))
         else:
-            for lseq, _ in lf:
-                for rseq, _ in rf:
+            for lseq, _ in far_members(lhs, bound):
+                for rseq, _ in far_members(rhs, bound):
                     conds.append((lseq, rseq))
-    worst = start
-    for lseq, rseq in conds:
-        ok, k = seq_eventually_le(lseq, rseq)
-        if not ok:
-            return False, k
-        worst = max(worst, k)
-    return True, worst
+    return _and([seq_eventually_le(lseq, rseq) for lseq, rseq in conds])

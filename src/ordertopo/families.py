@@ -12,6 +12,7 @@ eventual membership in any grammar set with an explicit threshold.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union as TUnion
@@ -35,15 +36,15 @@ from .eventual import (
     Harmonic,
     MonoForm,
     ShiftForm,
+    _and,
+    _or,
+    _positions,
     abs_centered_form,
     affine_form,
     coord_profile,
-    far_members,
-    form_carrier,
     form_eventually_le,
     form_limit,
     form_prefix_bound,
-    form_settle_ne,
     form_settle_vs_vec,
     make_mono_form,
     running_sup_form,
@@ -201,13 +202,18 @@ def value(F: Family, k: int) -> Vec:
     return inf(acc, F.cap)
 
 
-def values_iter(F: Family, upto: int) -> Iterator[Vec]:
-    """value(k) for k = index_base .. upto, computed incrementally."""
+def values_iter(F: Family, upto: int, lo: Optional[int] = None) -> Iterator[Vec]:
+    """value(k) for k = lo .. upto, computed incrementally.
+
+    ``lo`` defaults to the index base and may not lie below it.
+    """
+    base = index_base(F)
+    lo = base if lo is None else lo
     if isinstance(F, RunningSupMeet):
-        for acc in _running_sups(F, upto):
+        for acc in itertools.islice(_running_sups(F, upto), lo - base, None):
             yield inf(acc, F.cap)
         return
-    for k in range(index_base(F), upto + 1):
+    for k in range(lo, upto + 1):
         yield value(F, k)
 
 
@@ -251,7 +257,10 @@ class Monotonicity:
     violations: tuple[tuple[int, Vec, Vec], ...] = ()
 
 
-def monotonicity(F: Family, horizon: int = 24) -> Monotonicity:
+MONOTONICITY_HORIZON = 24  # consecutive pairs the exact cross-check compares
+
+
+def monotonicity(F: Family) -> Monotonicity:
     """Template-level direction, cross-checked exactly up to a horizon."""
     k0 = index_base(F)
     direction, rule = _direction_rule(F)
@@ -259,24 +268,22 @@ def monotonicity(F: Family, horizon: int = 24) -> Monotonicity:
         # only the finite-list and mixed-decay templates can land here, so a
         # short scan is guaranteed to exhibit both broken directions
         cap = len(F.values) if isinstance(F, Explicit) else 2
+        steps = list(enumerate(itertools.pairwise(values_iter(F, k0 + cap + 1)), k0))
         breaks = []
         for want in ("decreasing", "increasing"):
-            for k in range(k0, k0 + cap + 1):
-                a, b = value(F, k), value(F, k + 1)
+            for k, (a, b) in steps:
                 ordered = leq(b, a) if want == "decreasing" else leq(a, b)
                 if not ordered:
                     breaks.append((k, a, b))
                     break
         checked = max(k for k, _, _ in breaks) + 1
         return Monotonicity("neither", rule, checked, tuple(breaks))
-    prev = value(F, k0)
-    for k in range(k0 + 1, k0 + horizon + 1):
-        cur = value(F, k)
+    last = k0 + MONOTONICITY_HORIZON
+    for k, (prev, cur) in enumerate(itertools.pairwise(values_iter(F, last)), k0 + 1):
         ok = leq(cur, prev) if direction == "decreasing" else leq(prev, cur)
         if not ok:
             raise AssertionError(f"template rule contradicted at index {k}")
-        prev = cur
-    return Monotonicity(direction, rule, k0 + horizon)
+    return Monotonicity(direction, rule, last)
 
 
 def _direction_rule(F: Family) -> tuple[str, str]:
@@ -419,7 +426,10 @@ def _suffix_sups(devs: Sequence[Vec]) -> list[Vec]:
     return out
 
 
-def validate_certificate(F: Family, cert: Certificate, horizon: int = 48) -> bool:
+CERTIFICATE_HORIZON = 48  # indices past the base that domination is replayed for
+
+
+def validate_certificate(F: Family, cert: Certificate) -> bool:
     """Re-check a certificate from its stored pieces alone."""
     dom = cert.dominating
     carrier = family_carrier(F)
@@ -433,10 +443,9 @@ def validate_certificate(F: Family, cert: Certificate, horizon: int = 48) -> boo
         ok, settled = form_eventually_le(dev, form_of(dom))
         if not ok:
             return False
-        for k in range(k0, max(settled, k0 + horizon) + 1):
-            if not leq(abs(value(F, k) - cert.limit), value(dom, k)):
-                return False
-        return True
+        hi = max(settled, k0 + CERTIFICATE_HORIZON)
+        return all(leq(abs(v - cert.limit), d)
+                   for v, d in zip(values_iter(F, hi, k0), values_iter(dom, hi, k0)))
     for m, t in cert.threshold_map:
         radius = value(dom, m)
         lo, hi = cert.limit - radius, cert.limit + radius
@@ -474,15 +483,15 @@ def eventually_in(F: Family, expr: SetExpr) -> EventualVerdict:
         return EventualVerdict("unknown", None)
     settled = max(settled, form.start, k0)
     if ok:
+        # each value() of a running sup walks from the base, so walk it once;
+        # other templates step back from the settle index a value at a time
+        walked = list(values_iter(F, settled - 1)) if isinstance(F, RunningSupMeet) else None
         n = settled
-        while n > k0 and member(expr, value(F, n - 1)):
+        while n > k0 and member(expr, walked[n - 1 - k0] if walked else value(F, n - 1)):
             n -= 1
         return EventualVerdict("holds-from", n, settled_at=settled)
-    witness = settled
-    for k in range(k0, settled + 1):
-        if not member(expr, value(F, k)):
-            witness = k
-            break
+    witness = next((k for k, v in enumerate(values_iter(F, settled), k0)
+                    if not member(expr, v)), settled)
     return EventualVerdict("fails-from", settled, witness_index=witness,
                            settled_at=settled)
 
@@ -504,12 +513,11 @@ def _eventual_member(form: Form, expr: SetExpr) -> tuple[bool, int]:
                 form_settle_vs_vec(form, iv.lo, "gt"),
                 form_settle_vs_vec(form, iv.hi, "lt"),
             ])
+        eqs = [form_settle_vs_vec(form, w, "eq") for w in (iv.lo, iv.hi)]
         return _and([
             form_settle_vs_vec(form, iv.lo, "ge"),
             form_settle_vs_vec(form, iv.hi, "le"),
-            form_settle_ne(form, iv.lo),
-            form_settle_ne(form, iv.hi),
-        ])
+        ] + [(not ok, k) for ok, k in eqs])
     if isinstance(expr, HalfSpace):
         seq = tail_profile(form) if expr.coord == "tail" else coord_profile(form, expr.coord)
         rel, k = settle_cmp(seq, expr.bound)
@@ -549,32 +557,10 @@ def _eventual_member(form: Form, expr: SetExpr) -> tuple[bool, int]:
 
 def _support_conditions(form: Form, gens: Sequence[Vec]) -> list[tuple[bool, int]]:
     """Eventual vanishing off the generators' support (band membership)."""
-    conds: list[tuple[bool, int]] = []
-    carrier = form_carrier(form)
-    if carrier.kind == "findim":
-        width = carrier.dim
-    else:
-        width = max(support_horizon(list(gens)), form_prefix_bound(form))
-    for p in range(1, width + 1):
-        if all(g.coord(p) == 0 for g in gens):
-            rel, k = settle_cmp(coord_profile(form, p), Fraction(0))
-            conds.append((rel == 0, k))
-    if carrier.kind == "tailseq" and all(g.tail == 0 for g in gens):
-        for seq, present in far_members(form, width):
+    width = max(support_horizon(list(gens)), form_prefix_bound(form))
+    conds = [(True, form.start)]  # holds from the start when nothing is constrained
+    for label, seq, present in _positions(form, width):
+        if all(g.at(label) == 0 for g in gens):
             rel, k = settle_cmp(seq, Fraction(0))
             conds.append((rel == 0, max(k, present)))
-    if not conds:
-        conds.append((True, form.start))
     return conds
-
-
-def _and(conds: Sequence[tuple[bool, int]]) -> tuple[bool, int]:
-    if all(ok for ok, _ in conds):
-        return True, max(k for _, k in conds)
-    return False, min(k for ok, k in conds if not ok)
-
-
-def _or(conds: Sequence[tuple[bool, int]]) -> tuple[bool, int]:
-    if any(ok for ok, _ in conds):
-        return True, min(k for ok, k in conds if ok)
-    return False, max(k for _, k in conds)

@@ -373,14 +373,17 @@ class AtomsReport:
     description: str
 
 
-def carrier_atoms(carrier: Carrier, sample_count: int = 4) -> AtomsReport:
+ATOM_SAMPLES = 4  # unit vectors listed for the tailseq carrier
+
+
+def carrier_atoms(carrier: Carrier) -> AtomsReport:
     """Describe the atom set of a carrier; both carriers are atomic."""
     if carrier.kind == "findim":
         samples = tuple(unit(carrier, j) for j in range(1, carrier.dim + 1))
         text = ("every atom is a positive rational multiple of a standard "
                 f"unit vector e_1..e_{carrier.dim}")
     else:
-        samples = tuple(unit(carrier, j) for j in range(1, sample_count + 1))
+        samples = tuple(unit(carrier, j) for j in range(1, ATOM_SAMPLES + 1))
         text = ("every atom is a positive rational multiple of a standard "
                 "unit vector e_j, j >= 1")
     return AtomsReport(carrier, True, samples, text)
@@ -432,27 +435,27 @@ def _all_parts_solid(parts: Sequence[SetExpr], rule: str) -> Optional[list[str]]
     return trace
 
 
-DEFAULT_GRID = tuple(
-    rat(v) for v in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
+GRID_VALUES = tuple(  # small magnitudes first
+    rat(v) for v in (0, Fraction(-1, 2), Fraction(1, 2), -1, 1, -2, 2)
 )
+GRID_PREFIX_LEN = 2  # longest tailseq prefix on the probe grid
+GRID_LIMIT = 4096  # most probe vectors on one grid
 
 
-def grid_vectors(carrier: Carrier, values: Sequence[Fraction] = DEFAULT_GRID,
-                 prefix_len: int = 2, limit: int = 4096) -> list[Vec]:
+def grid_vectors(carrier: Carrier) -> list[Vec]:
     """A deterministic grid of probe vectors, small magnitudes first."""
-    vals = sorted(set(rat(v) for v in values), key=lambda v: (abs(v), v))
     out: list[Vec] = []
     if carrier.kind == "findim":
-        for combo in itertools.product(vals, repeat=carrier.dim):
+        for combo in itertools.product(GRID_VALUES, repeat=carrier.dim):
             out.append(Vec(carrier, combo))
-            if len(out) >= limit:
+            if len(out) >= GRID_LIMIT:
                 break
     else:
-        for plen in range(prefix_len + 1):
-            for tail in vals:
-                for combo in itertools.product(vals, repeat=plen):
+        for plen in range(GRID_PREFIX_LEN + 1):
+            for tail in GRID_VALUES:
+                for combo in itertools.product(GRID_VALUES, repeat=plen):
                     out.append(Vec(carrier, combo, tail))
-                    if len(out) >= limit:
+                    if len(out) >= GRID_LIMIT:
                         return _dedup(out)
     return _dedup(out)
 
@@ -467,8 +470,10 @@ def _dedup(vecs: Sequence[Vec]) -> list[Vec]:
     return out
 
 
-def check_solid(expr: SetExpr, grid: Optional[Sequence[Vec]] = None,
-                max_pairs: int = 200_000) -> SolidityVerdict:
+MAX_SOLID_PAIRS = 200_000  # (x, y) probe pairs tried before giving up
+
+
+def check_solid(expr: SetExpr) -> SolidityVerdict:
     """Three-valued solidity check.
 
     Certified by structural rules; refuted by a searched witness pair
@@ -480,14 +485,14 @@ def check_solid(expr: SetExpr, grid: Optional[Sequence[Vec]] = None,
     carrier = carrier_of(expr)
     if carrier is None:
         return SolidityVerdict("unknown")
-    probes = list(grid) if grid is not None else grid_vectors(carrier)
+    probes = grid_vectors(carrier)
     inside = [x for x in probes if member(expr, x)]
     tried = 0
     for x in inside:
         ax = abs(x)
         for y in probes:
             tried += 1
-            if tried > max_pairs:
+            if tried > MAX_SOLID_PAIRS:
                 return SolidityVerdict("unknown", searched=tried - 1)
             if leq(abs(y), ax) and not member(expr, y):
                 return SolidityVerdict("refuted", witness=(x, y), searched=tried)

@@ -32,6 +32,7 @@ from .families import (
     shift_family,
     validate_certificate,
     value,
+    values_iter,
 )
 from .ordersets import (
     Band,
@@ -297,9 +298,7 @@ def _running_sup_probes(expr: SetExpr) -> tuple[bool, str]:
         witness = running_sup_meet(base, limit)
         got = order_limit(witness)
         tried += 1
-        if not all(member(expr, v) for v in
-                   (value(witness, k) for k in range(index_base(witness),
-                                                     index_base(witness) + 16))):
+        if not all(member(expr, v) for v in values_iter(witness, index_base(witness) + 15)):
             return False, "running-sup values escaped the set"
         if got != limit or not member(expr, got):
             return False, "a running-sup limit escaped the set"

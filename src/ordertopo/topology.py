@@ -49,7 +49,7 @@ from .families import (
     shift_family,
     shift_up_family,
     validate_certificate,
-    value,
+    values_iter,
 )
 from .ordersets import (
     Band,
@@ -86,7 +86,6 @@ class SearchConfig:
     grid_scale: Fraction = Fraction(1)
     lambdas: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1, 3))
     gen_scales: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1), Fraction(2))
-    chain_length: int = 8
     max_chains: int = 4
     max_candidates: int = 600
 
@@ -297,26 +296,22 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
 
 
 def _chain_probes(expr: SetExpr, carrier: Carrier, config: SearchConfig) -> list[Family]:
-    """Greedy monotone chains of grid points inside the set.
+    """Two-point monotone chains of grid points inside the set.
 
     Eventually-constant families can never leave their final value behind,
-    so these act as sanity probes rather than refuters.  Each chain is an
-    ``Explicit`` family, so it equals no other candidate, and each starts at
-    a different grid point, so no two chains are equal.
+    so these act as sanity probes rather than refuters, and the search only
+    counts them.  Each chain is an ``Explicit`` family, so it equals no
+    other candidate, and each starts at a different grid point, so no two
+    chains are equal.
     """
     points = [p for p in grid_vectors(carrier) if member(expr, p)]
     chains: list[Family] = []
     for start in points:
         if len(chains) >= config.max_chains:
             break
-        chain = [start]
-        for q in points:
-            if len(chain) >= config.chain_length:
-                break
-            if q != chain[-1] and leq(chain[-1], q):
-                chain.append(q)
-        if len(chain) > 1:
-            chains.append(Explicit(tuple(chain)))
+        above = next((q for q in points if q != start and leq(start, q)), None)
+        if above is not None:
+            chains.append(Explicit((start, above)))
     return chains
 
 
@@ -385,8 +380,10 @@ def is_order_open(expr: SetExpr, config: SearchConfig = DEFAULT_CONFIG) -> Verdi
     return check_quasi_order_closed(Complement(expr), config)
 
 
-def replay_witness(expr: SetExpr, witness: ClosureWitness,
-                   horizon: int = 64) -> bool:
+REPLAY_HORIZON = 64  # indices from in_set_from whose membership is replayed
+
+
+def replay_witness(expr: SetExpr, witness: ClosureWitness) -> bool:
     """Re-validate a refutation from its stored pieces alone, no search."""
     fam = witness.family
     if witness.mode in ("increasing", "decreasing"):
@@ -406,10 +403,8 @@ def replay_witness(expr: SetExpr, witness: ClosureWitness,
     ev = eventually_in(fam, expr)
     if ev.status != "holds-from" or ev.index > witness.in_set_from:
         return False
-    for k in range(witness.in_set_from, witness.in_set_from + horizon):
-        if not member(expr, value(fam, k)):
-            return False
-    return True
+    lo = witness.in_set_from
+    return all(member(expr, v) for v in values_iter(fam, lo + REPLAY_HORIZON - 1, lo))
 
 
 # -- neighborhood catalogs ------------------------------------------------------------

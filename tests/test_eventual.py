@@ -4,6 +4,7 @@ import pytest
 
 from ordertopo.carriers import TAIL_SEQ, Vec, findim, inf, sup, zero
 from ordertopo.eventual import (
+    ConstForm,
     ConstSeq,
     Geom,
     Harmonic,
@@ -295,3 +296,163 @@ def test_seq_eventually_le_randomized_against_scans():
                 assert seq_eval(a, i) <= seq_eval(b, i), (a, b, i)
             else:
                 assert seq_eval(a, i) > seq_eval(b, i), (a, b, i)
+
+
+# -- pinned settle indices --------------------------------------------------------
+# The brute-force tests above accept any valid settle index; these pin the
+# exact (ok, k) pairs and forms, so that a refactor cannot move an index.
+
+
+def _random_mono(rng, a):
+    b = F(rng.choice([-1, 1]) * rng.randint(1, 8), rng.randint(1, 6))
+    if rng.random() < 0.5:
+        return make_geom(a, b, rng.choice([F(1, 2), F(1, 3), F(2, 3), F(3, 4)]), rng.randrange(3))
+    return make_decay(a, b, rng.choice([F(0), F(1, 2), F(2)]), rng.randrange(3))
+
+
+def _small(rng):
+    return F(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+
+
+def _random_vec(rng, carrier):
+    if carrier.kind == "findim":
+        return Vec(carrier, tuple(_small(rng) for _ in range(carrier.dim)))
+    return Vec(carrier, tuple(_small(rng) for _ in range(rng.randrange(4))), _small(rng))
+
+
+def _near(rng, v):
+    """v moved by a small amount at some positions, or a random vector."""
+    if rng.random() < 0.2:
+        return _random_vec(rng, v.carrier)
+
+    def nudge(x):
+        if rng.random() < 0.6:
+            return x + F(rng.choice([-1, 1]), rng.randint(3, 40))
+        return x
+
+    if v.carrier.kind == "findim":
+        return Vec(v.carrier, tuple(nudge(x) for x in v.coords))
+    prefix = v.coords + tuple(v.tail for _ in range(rng.randrange(3)))
+    return Vec(v.carrier, tuple(nudge(x) for x in prefix), nudge(v.tail))
+
+
+def _random_form(rng):
+    carrier = rng.choice([findim(1), findim(2), findim(3), TAIL_SEQ])
+    kind = rng.randrange(4 if carrier == TAIL_SEQ else 3)
+    start = rng.randrange(4)
+    if kind == 0:
+        return ConstForm(_random_vec(rng, carrier), start)
+    if kind == 3:
+        fixed = tuple(_small(rng) for _ in range(rng.randrange(3)))
+        return make_shift_form(fixed, _small(rng), _small(rng), max(start, len(fixed)))
+    if kind == 1:
+        kernel = Geom(rng.choice([F(1, 2), F(2, 3)]))
+    else:
+        kernel = Harmonic(rng.choice([F(0), F(1, 2)]))
+    return make_mono_form(_random_vec(rng, carrier), _random_vec(rng, carrier), kernel, start)
+
+
+PINNED_SEQ_LE = [
+    (False, 2), (False, 6), (True, 2), (True, 4), (True, 2), (False, 4), (False, 2),
+    (True, 2), (False, 5), (True, 1), (True, 4), (True, 4), (False, 6), (True, 2),
+    (True, 2), (False, 4), (False, 2), (True, 4), (True, 14), (True, 2), (True, 2),
+    (False, 2), (True, 2), (False, 7), (True, 1), (True, 4), (False, 4), (True, 5),
+    (True, 4), (False, 2), (False, 3), (False, 4), (False, 2), (True, 5), (True, 2),
+    (False, 3), (False, 2), (False, 2), (False, 1), (False, 2), (True, 2), (True, 2),
+    (False, 1), (False, 2), (True, 1), (False, 0), (True, 2), (True, 1), (True, 2),
+    (True, 1), (True, 1), (False, 2), (False, 1), (False, 0), (True, 2), (False, 5),
+    (False, 1), (False, 2), (True, 1), (True, 1), (False, 0), (False, 2), (False, 2),
+    (False, 1), (False, 3), (False, 2), (False, 2), (True, 2), (True, 1), (False, 2),
+    (True, 2), (False, 2), (True, 3), (True, 1), (False, 5), (False, 2), (True, 8),
+    (True, 1), (True, 1), (True, 2), (True, 1), (False, 1), (False, 2), (False, 18),
+    (False, 1), (True, 2), (True, 2), (True, 2), (True, 2), (False, 1), (True, 2),
+    (True, 2), (False, 0), (False, 2), (False, 1), (True, 2), (True, 2), (False, 0),
+    (True, 4), (False, 2),
+]
+
+
+def test_seq_eventually_le_pinned_settle_indices():
+    import random
+
+    rng = random.Random(8103)
+    got = [seq_eventually_le(_random_seq(rng), _random_seq(rng)) for _ in range(40)]
+    for _ in range(60):
+        a = F(rng.randint(-8, 8), rng.randint(1, 6))
+        got.append(seq_eventually_le(_random_mono(rng, a), _random_mono(rng, a)))
+    assert got == PINNED_SEQ_LE
+
+
+PINNED_SETTLE_VS_VEC = [
+    [(False, 0), (False, 7), (False, 0), (False, 7), (False, 0)],
+    [(False, 2), (False, 2), (False, 2), (False, 2), (False, 2)],
+    [(False, 6), (True, 11), (False, 6), (True, 11), (False, 6)],
+    [(False, 0), (True, 0), (False, 0), (False, 0), (False, 0)],
+    [(True, 2), (False, 2), (True, 2), (False, 2), (False, 2)],
+    [(False, 0), (True, 0), (False, 0), (True, 0), (False, 0)],
+    [(False, 2), (False, 2), (False, 2), (False, 2), (False, 2)],
+    [(False, 0), (True, 0), (False, 0), (False, 0), (False, 0)],
+    [(False, 1), (True, 1), (False, 1), (True, 1), (False, 1)],
+    [(False, 1), (False, 1), (False, 1), (False, 1), (False, 1)],
+    [(False, 3), (True, 3), (False, 3), (True, 3), (False, 3)],
+    [(False, 9), (False, 1), (False, 9), (False, 1), (False, 1)],
+    [(False, 0), (False, 1), (False, 0), (False, 1), (False, 0)],
+    [(False, 1), (False, 1), (False, 1), (False, 1), (False, 1)],
+    [(False, 10), (False, 0), (False, 0), (False, 0), (False, 0)],
+    [(False, 2), (True, 2), (False, 2), (False, 2), (False, 2)],
+    [(False, 1), (False, 1), (False, 1), (False, 1), (False, 1)],
+    [(False, 1), (False, 1), (False, 1), (False, 1), (False, 1)],
+    [(True, 1), (True, 1), (False, 1), (False, 1), (True, 1)],
+    [(True, 3), (False, 3), (True, 3), (False, 3), (False, 3)],
+    [(True, 3), (False, 3), (False, 3), (False, 3), (False, 3)],
+    [(False, 7), (False, 2), (False, 7), (False, 2), (False, 2)],
+    [(True, 5), (False, 3), (True, 5), (False, 3), (False, 3)],
+    [(False, 0), (False, 0), (False, 0), (False, 0), (False, 0)],
+]
+
+
+def test_form_settle_vs_vec_pinned_settle_indices():
+    import random
+
+    rng = random.Random(8104)
+    got = []
+    for _ in range(24):
+        form = _random_form(rng)
+        w = _near(rng, form_limit(form))
+        got.append([form_settle_vs_vec(form, w, op) for op in ("le", "ge", "lt", "gt", "eq")])
+    assert got == PINNED_SETTLE_VS_VEC
+
+
+PINNED_SUP_MEET_STARTS = [
+    'MonoForm:2', 'MonoForm:2', 'ConstForm:3', 'MonoForm:3', 'MonoForm:1', 'MonoForm:1',
+    'ConstForm:3', 'ConstForm:3', 'ConstForm:0', 'ConstForm:0', 'ConstForm:0',
+    'MonoForm:4', 'ConstForm:0', 'ConstForm:0', 'ConstForm:0', 'ConstForm:0',
+    'MonoForm:3', 'MonoForm:3', 'ConstForm:2', 'ConstForm:2', 'ConstForm:3',
+    'MonoForm:3', 'MonoForm:1', 'ConstForm:3', 'MonoForm:3', 'MonoForm:67',
+    'ConstForm:0', 'ConstForm:0', 'ConstForm:0', 'ConstForm:0', 'MonoForm:0',
+    'MonoForm:11', 'MonoForm:3', 'MonoForm:2', 'ShiftForm:2', 'ShiftForm:2',
+    'ConstForm:1', 'ConstForm:1', 'MonoForm:21', 'MonoForm:3', 'ConstForm:0',
+    'ConstForm:0', 'ShiftForm:2', 'ShiftForm:2', 'ConstForm:1', 'ConstForm:1',
+    'ConstForm:3', 'ConstForm:30', 'ConstForm:3', 'ConstForm:3', 'ConstForm:0',
+    'ConstForm:0', 'MonoForm:3', 'MonoForm:3', 'ConstForm:2', 'MonoForm:2',
+    'ConstForm:1', 'ConstForm:1', 'MonoForm:1', 'ConstForm:14', 'ConstForm:2',
+    'ConstForm:2', 'ConstForm:1', 'MonoForm:1', 'ConstForm:0', 'MonoForm:0',
+    'ConstForm:0', 'ConstForm:0', 'ConstForm:3', 'ConstForm:3', 'MonoForm:10',
+    'MonoForm:1', 'MonoForm:0', 'ConstForm:5', 'ConstForm:1', 'MonoForm:5',
+    'ConstForm:2', 'ShiftForm:2', 'ConstForm:2', 'MonoForm:2',
+]
+PINNED_SUP_MEET_DIGEST = "f62a9126dd62e0f5bb5be9a6a6dd28f17b7afba9edddb3f7779d4018b3a5f646"
+
+
+def test_running_sup_and_meet_forms_pinned():
+    import hashlib
+    import random
+
+    rng = random.Random(8105)
+    got = []
+    for _ in range(40):
+        form = _random_form(rng)
+        early = None if rng.random() < 0.3 else _near(rng, form_limit(form))
+        got.append(running_sup_form(form, early))
+        got.append(meet_const_form(form, _near(rng, form_limit(form))))
+    assert [f"{type(f).__name__}:{f.start}" for f in got] == PINNED_SUP_MEET_STARTS
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == PINNED_SUP_MEET_DIGEST

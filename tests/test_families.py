@@ -316,6 +316,38 @@ def test_value_of_nested_running_sup_is_linear(monkeypatch):
     assert got == list(values_iter(f, 200))[-1]
 
 
+def test_scans_of_nested_running_sup_are_linear(monkeypatch):
+    import ordertopo.families as families
+
+    calls = 0
+    real = families.value
+
+    def counting(F, k):
+        nonlocal calls
+        calls += 1
+        return real(F, k)
+
+    monkeypatch.setattr(families, "value", counting)
+    n = 200
+    base = Explicit(tuple(Vec.fin([F(k, n), F(k * 7 % 11, 11)]) for k in range(n)))
+    f = running_sup_meet(running_sup_meet(base, Vec.fin([1, 1])), Vec.fin([1, 1]))
+    box = IntervalSet(closed_interval(zero(findim(2)), ones(findim(2))))
+    low = IntervalSet(closed_interval(zero(findim(2)), Vec.fin([F(n - 2, n), 1])))
+    calls = 0
+    # every value is in the box: the backward walk goes down to the base
+    assert eventually_in(f, box).index == 0
+    assert calls <= 3 * n
+    calls = 0
+    # the last listed value is the first outside: the forward scan gets there
+    got = eventually_in(f, low)
+    assert (got.status, got.witness_index) == ("fails-from", n - 1)
+    assert calls <= 3 * n
+    cert = order_converges(f, Vec.fin([F(n - 1, n), F(10, 11)]))
+    calls = 0
+    assert validate_certificate(f, cert)
+    assert calls <= 3 * n
+
+
 def test_dominating_requires_true_limit():
     with pytest.raises(ValueError):
         dominating_family(shift_family(), ones(TAIL_SEQ))
