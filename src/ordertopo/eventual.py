@@ -17,6 +17,7 @@ templates rather than sampled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union as TUnion
@@ -61,8 +62,38 @@ class Geom:
         return self.lam ** k
 
     def first_below(self, t: Fraction, start: int) -> int:
-        """Least k >= start with lam^k < t."""
-        return _least_true(lambda i: self.lam ** i < t, start)
+        """Least k >= start with lam^k < t.
+
+        The float hint floor(log t / log lam) + 1 is confirmed exactly by
+        lam^k < t <= lam^(k-1), from one power; if the hint misses, the exact
+        bracket search decides.
+        """
+        if t <= 0:
+            raise ValueError("a kernel threshold must be positive")
+        k = max(start, _log_hint(self.lam, t))
+        if k == start:
+            if self.at(k) < t:
+                return k
+        else:
+            prev = self.at(k - 1)
+            if prev * self.lam < t <= prev:
+                return k
+        return _least_true(lambda i: self.at(i) < t, start)
+
+
+def _log_hint(lam: Fraction, t: Fraction) -> int:
+    """floor(log t / log lam) + 1 in floats, or 0 where floats give no hint.
+
+    The logs come from the integer numerators and denominators, so no float
+    range limits them; log lam goes through log1p near 1.
+    """
+    log_t = math.log(t.numerator) - math.log(t.denominator)
+    if lam > Fraction(1, 2):
+        log_lam = math.log1p(-float(1 - lam))
+    else:
+        log_lam = math.log(lam.numerator) - math.log(lam.denominator)
+    x = log_t / log_lam if log_lam else math.inf
+    return math.floor(x) + 1 if math.isfinite(x) else 0
 
 
 @dataclass(frozen=True)
@@ -76,6 +107,8 @@ class Harmonic:
 
     def first_below(self, t: Fraction, start: int) -> int:
         """Least k >= start with 1/(k+1+q) < t, solved exactly."""
+        if t <= 0:
+            raise ValueError("a kernel threshold must be positive")
         # 1/(k+1+q) < t  <=>  k > 1/t - 1 - q, floored in integers:
         # with t = n/d and q = p/s, 1/t - 1 - q = (d*s - n*(s+p)) / (n*s)
         n, d = t.numerator, t.denominator

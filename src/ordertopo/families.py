@@ -87,6 +87,14 @@ class Explicit:
         if any(v.carrier != carrier for v in self.values):
             raise CarrierMismatch("explicit family mixes carriers")
 
+    # families key the form and walk caches, so a long list is hashed once
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.values)
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 @dataclass(frozen=True)
 class Shift:
@@ -146,6 +154,13 @@ class RunningSupMeet:
         if family_carrier(self.base) != self.cap.carrier:
             raise CarrierMismatch("cap lives in a different carrier than the base")
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.base, self.cap))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 Family = TUnion[Explicit, Shift, Scale, CoordDecay, RunningSupMeet]
 
@@ -197,32 +212,66 @@ def value(F: Family, k: int) -> Vec:
         return F.v * F.lam ** k
     if isinstance(F, CoordDecay):
         return F.c + F.p * (Fraction(1) / (k + 1 + F.q))
-    for acc in _running_sups(F, max(k, index_base(F))):
-        pass
-    return inf(acc, F.cap)
+    base = index_base(F)
+    return _walk(F).capped(max(k, base) - base)
 
 
 def values_iter(F: Family, upto: int, lo: Optional[int] = None) -> Iterator[Vec]:
-    """value(k) for k = lo .. upto, computed incrementally.
+    """value(k) for k = lo .. upto; a running sup reads its shared walk.
 
     ``lo`` defaults to the index base and may not lie below it.
     """
     base = index_base(F)
     lo = base if lo is None else lo
     if isinstance(F, RunningSupMeet):
-        for acc in itertools.islice(_running_sups(F, upto), lo - base, None):
-            yield inf(acc, F.cap)
+        walk = _walk(F)
+        for i in range(lo - base, upto - base + 1):
+            yield walk.capped(i)
         return
     for k in range(lo, upto + 1):
         yield value(F, k)
 
 
-def _running_sups(F: RunningSupMeet, upto: int) -> Iterator[Vec]:
-    """Uncapped running suprema of the base values, index_base .. upto."""
-    acc = None
-    for base_val in values_iter(F.base, upto):
-        acc = base_val if acc is None else sup(acc, base_val)
-        yield acc
+class _Walk:
+    """The running suprema of one running-sup family, from its index base.
+
+    Entry i of ``sups`` is the supremum of the base values up to index
+    base + i, and entry i of ``vals`` is that supremum meet the cap.  Both
+    grow on demand, one entry at a time and ``sups`` first, so an exception
+    raised at any point (a deadline, say) leaves a walk that is still right.
+    """
+
+    def __init__(self, F: RunningSupMeet):
+        self.F = F
+        self.base = index_base(F)
+        self.sups: list[Vec] = []
+        self.vals: list[Vec] = []
+        # a nested family holds its base's walk: it reads it without a cache
+        # lookup, and evicting that walk from the cache cannot undo this one
+        self.inner = _walk(F.base) if isinstance(F.base, RunningSupMeet) else None
+
+    def capped(self, i: int) -> Vec:
+        sups, vals = self.sups, self.vals
+        while len(vals) <= i:
+            j = len(vals)
+            if len(sups) == j:
+                base_val = (self.inner.capped(j) if self.inner is not None
+                            else value(self.F.base, self.base + j))
+                sups.append(sup(sups[-1], base_val) if sups else base_val)
+            vals.append(inf(sups[j], self.F.cap))
+        return vals[i]
+
+    def uncapped(self, i: int) -> Vec:
+        self.capped(i)
+        return self.sups[i]
+
+
+# one walk per running-sup family, shared by every scan of it; a document
+# scans at most four such families, and the bound keeps a long-lived
+# process at a fixed footprint
+@functools.lru_cache(maxsize=4)
+def _walk(F: RunningSupMeet) -> _Walk:
+    return _Walk(F)
 
 
 # bounded so that a long-lived process keeps a fixed footprint
@@ -240,10 +289,9 @@ def form_of(F: Family) -> Form:
     if isinstance(F, CoordDecay):
         return make_mono_form(F.c, F.p, Harmonic(F.q), 0)
     base_form = form_of(F.base)
-    early = None
-    for early in _running_sups(F, base_form.start - 1):
-        pass
-    return meet_const_form(running_sup_form(base_form, early), F.cap)
+    early = base_form.start - 1 - index_base(F)
+    early_sup = _walk(F).uncapped(early) if early >= 0 else None
+    return meet_const_form(running_sup_form(base_form, early_sup), F.cap)
 
 
 # -- monotonicity ---------------------------------------------------------------
@@ -483,11 +531,8 @@ def eventually_in(F: Family, expr: SetExpr) -> EventualVerdict:
         return EventualVerdict("unknown", None)
     settled = max(settled, form.start, k0)
     if ok:
-        # each value() of a running sup walks from the base, so walk it once;
-        # other templates step back from the settle index a value at a time
-        walked = list(values_iter(F, settled - 1)) if isinstance(F, RunningSupMeet) else None
         n = settled
-        while n > k0 and member(expr, walked[n - 1 - k0] if walked else value(F, n - 1)):
+        while n > k0 and member(expr, value(F, n - 1)):
             n -= 1
         return EventualVerdict("holds-from", n, settled_at=settled)
     witness = next((k for k, v in enumerate(values_iter(F, settled), k0)

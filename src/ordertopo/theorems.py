@@ -182,7 +182,7 @@ def verify_interval_convergence_theorem(F: Family, x: Vec,
     steps: list[TheoremStep] = []
     carrier = family_carrier(F)
 
-    chain_only = NeighborhoodCatalog(x, chain.chain)
+    chain_only = chain if chain.is_chain() else NeighborhoodCatalog(x, chain.chain)
     chain_report = tau_e_convergence_report(F, x, chain_only)
     if not chain_report.consistent:
         refuter = chain_report.refuted_by

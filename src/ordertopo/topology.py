@@ -423,10 +423,11 @@ class NeighborhoodCatalog:
         for iv in self.chain + self.extras:
             if not interval_contains(iv, self.center):
                 raise ValueError("catalog interval misses its center")
-        for a, b in zip(self.chain, self.chain[1:]):
+        widths = [iv.width() for iv in self.chain]
+        for (a, b), (wa, wb) in zip(itertools.pairwise(self.chain), itertools.pairwise(widths)):
             if not (leq(a.lo, b.lo) and leq(b.hi, a.hi)):
                 raise ValueError("chain intervals must be nested")
-            if not (leq(b.width(), a.width()) and b.width() != a.width()):
+            if not (leq(wb, wa) and wb != wa):
                 raise ValueError("chain widths must strictly decrease")
 
     @property

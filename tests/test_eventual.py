@@ -9,6 +9,7 @@ from ordertopo.eventual import (
     Geom,
     Harmonic,
     StepSeq,
+    _least_true,
     affine_form,
     far_members,
     form_eval,
@@ -87,6 +88,62 @@ def test_first_below_is_the_least_index():
         k = kernel.first_below(t, start)
         assert k >= start and kernel.at(k) < t, (kernel, t, start)
         assert k == start or kernel.at(k - 1) >= t, (kernel, t, start)
+
+
+def test_first_below_rejects_nonpositive_thresholds():
+    for kernel in (Geom(F(1, 2)), Geom(F(9999, 10000)), Harmonic(F(0)), Harmonic(F(3, 2))):
+        for t in (F(0), F(-1, 3)):
+            with pytest.raises(ValueError):
+                kernel.first_below(t, 0)
+
+
+GEOM_RATIOS = [F(1, 2), F(9, 10), 1 - F(1, 10 ** 3), 1 - F(1, 10 ** 4), 1 - F(1, 10 ** 6)]
+
+
+@pytest.mark.parametrize("lam", GEOM_RATIOS, ids=str)
+def test_geom_first_below_matches_the_bracket_search(lam):
+    import random
+
+    rng = random.Random(f"first-below:{lam}")
+    kernel = Geom(lam)
+    for _ in range(25):
+        # thresholds near exact powers, above 1, and starts past the answer;
+        # exponents stay small enough for the bracket search to be cheap
+        j = rng.randint(0, 2500)
+        t = rng.choice([lam ** j, lam ** j * F(rng.randint(990, 1010), 1000),
+                        F(rng.randint(1, 9), 1) + F(1, 7)])
+        start = rng.choice([0, rng.randrange(8), rng.randrange(3000)])
+        want = _least_true(lambda i: lam ** i < t, start)
+        assert kernel.first_below(t, start) == want, (t, start)
+
+
+def test_geom_first_below_beyond_the_float_range():
+    half = Geom(F(1, 2))
+    tiny = F(1, 10 ** 400)  # below the smallest float
+    k = half.first_below(tiny, 0)
+    assert half.at(k) < tiny <= half.at(k - 1)
+    huge = F(3 * 2 ** 4001 + 1, 2 ** 4003 + 7)  # numerator and denominator above 2^4000
+    assert half.first_below(huge, 0) == 1
+    assert half.first_below(F(1, 8), 0) == 4
+    assert half.first_below(F(1, 8), 10) == 10  # a start past the answer
+    assert half.first_below(F(5, 2), 3) == 3  # t > 1
+
+
+def test_geom_first_below_evaluates_few_powers(monkeypatch):
+    calls = 0
+    real = F.__pow__
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    lam, t = F(9999, 10000), F(1, 100)
+    monkeypatch.setattr(F, "__pow__", counting)
+    k = Geom(lam).first_below(t, 0)
+    assert calls <= 3
+    monkeypatch.undo()
+    assert lam ** k < t <= lam ** (k - 1)
 
 
 def test_settle_step():

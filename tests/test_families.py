@@ -7,8 +7,10 @@ from ordertopo.carriers import (
     CarrierMismatch,
     Vec,
     findim,
+    inf,
     leq,
     ones,
+    sup,
     unit,
     zero,
 )
@@ -346,6 +348,116 @@ def test_scans_of_nested_running_sup_are_linear(monkeypatch):
     calls = 0
     assert validate_certificate(f, cert)
     assert calls <= 3 * n
+
+
+def _count_value_calls(monkeypatch, only=None):
+    """Count families.value calls (on ``only`` alone, when given)."""
+    import ordertopo.families as families
+
+    counter = {"calls": 0}
+    real = families.value
+
+    def counting(F, k):
+        if only is None or F is only:
+            counter["calls"] += 1
+        return real(F, k)
+
+    monkeypatch.setattr(families, "value", counting)
+    return counter
+
+
+def test_tau_e_report_walks_a_nested_running_sup_once(monkeypatch):
+    from ordertopo.families import _walk
+    from ordertopo.topology import symmetric_chain, tau_e_convergence_report
+
+    n = 200
+    base = Explicit(tuple(Vec.fin([F(k, n), F(k * 7 % 13, 13)]) for k in range(n)))
+    f = running_sup_meet(running_sup_meet(base, Vec.fin([1, 1])), Vec.fin([F(3, 4), 1]))
+    x = order_limit(f)
+    _walk.cache_clear()
+    counter = _count_value_calls(monkeypatch, only=base)
+    report = tau_e_convergence_report(f, x, symmetric_chain(x, 10))
+    assert report.consistent and len(report.thresholds) == 10
+    # one walk serves all ten intervals: each base value is read once
+    assert 0 < counter["calls"] <= n + 10
+
+
+def test_scans_of_deeply_nested_running_sups_stay_linear(monkeypatch):
+    # six nested walks outnumber the walk cache; each still reads its base once
+    n = 100
+    base = Explicit(tuple(Vec.fin([F(k, n), F(k * 3 % 7, 7)]) for k in range(n)))
+    f = base
+    for depth in range(6):
+        f = running_sup_meet(f, Vec.fin([1, 1 - F(depth, 10)]))
+    box = IntervalSet(closed_interval(zero(findim(2)), ones(findim(2))))
+    counter = _count_value_calls(monkeypatch, only=base)
+    assert eventually_in(f, box).index == 0
+    assert validate_certificate(f, order_converges(f, order_limit(f)))
+    assert 0 < counter["calls"] <= n + 50
+
+
+def test_running_sup_walks_are_bounded():
+    from ordertopo.families import _walk
+
+    for j in range(1000):
+        f = running_sup_meet(Explicit((Vec.fin([j]), Vec.fin([j + 1]))), Vec.fin([j]))
+        assert value(f, 3) == Vec.fin([j])
+    info = _walk.cache_info()
+    assert info.currsize == info.maxsize == 4
+
+
+def test_running_sup_walk_survives_an_interrupted_step(monkeypatch):
+    import ordertopo.families as families
+    from ordertopo.families import _walk
+
+    class Stop(BaseException):
+        pass
+
+    base = CoordDecay(Vec.fin([0, 1]), Vec.fin([2, -3]))
+    f = running_sup_meet(base, Vec.fin([F(5, 4), F(1, 2)]))
+    want, acc = [], None
+    for k in range(60):
+        acc = value(base, k) if acc is None else sup(acc, value(base, k))
+        want.append(inf(acc, f.cap))
+
+    def stop_at_call(fn, n):
+        calls = 0
+
+        def wrapped(*args):
+            nonlocal calls
+            calls += 1
+            if calls == n:
+                raise Stop()
+            return fn(*args)
+
+        return wrapped
+
+    # stop while reading a base value, and between the uncapped and the
+    # capped step of one index
+    for name, fn in (("value", families.value), ("inf", families.inf)):
+        _walk.cache_clear()
+        monkeypatch.setattr(families, name, stop_at_call(fn, 30))
+        with pytest.raises(Stop):
+            list(values_iter(f, 59))
+        monkeypatch.undo()
+        assert list(values_iter(f, 59)) == want
+
+
+def test_explicit_hashes_its_values_once(monkeypatch):
+    values = tuple(Vec.fin([k, -k, F(k, 7)]) for k in range(1000))
+    f = Explicit(values)
+    calls = 0
+    real = Vec.__hash__
+
+    def counting(v):
+        nonlocal calls
+        calls += 1
+        return real(v)
+
+    monkeypatch.setattr(Vec, "__hash__", counting)
+    form_of(f)
+    form_of(f)
+    assert calls == len(values)
 
 
 def test_dominating_requires_true_limit():

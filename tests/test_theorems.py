@@ -139,3 +139,45 @@ def test_interval_fit_probe_rejects_uncertified_entry():
 def test_interval_fit_probe_empty_catalog_vacuous():
     report = verify_interval_fit_probe([], samples_per_set=5)
     assert report.conclusion == CONFIRMED
+
+
+def test_interval_convergence_near_one_ratio_is_cheap(monkeypatch):
+    # a scale family with lam = 1 - 10^-4 enters the chain intervals only
+    # after some 30000 indices; each threshold must cost a few exact powers,
+    # not a bisection over them
+    from ordertopo.families import Scale
+
+    calls = 0
+    real = F.__pow__
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    x = zero(findim(2))
+    family = Scale(Vec.fin([1, 4]), F(9999, 10000))
+    chain = symmetric_chain(x, 5)
+    monkeypatch.setattr(F, "__pow__", counting)
+    report = verify_interval_convergence_theorem(family, x, chain)
+    assert report.conclusion == CONFIRMED
+    assert calls <= 200
+
+
+def test_interval_convergence_reuses_a_plain_chain(monkeypatch):
+    from ordertopo.topology import NeighborhoodCatalog
+
+    x = zero(findim(2))
+    chain = symmetric_chain(x, 4)
+    built = 0
+    real = NeighborhoodCatalog.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        real(self)
+
+    monkeypatch.setattr(NeighborhoodCatalog, "__post_init__", counting)
+    report = verify_interval_convergence_theorem(CoordDecay(x, Vec.fin([1, 2])), x, chain)
+    assert report.conclusion == CONFIRMED
+    assert built == 0

@@ -321,8 +321,31 @@ def test_catalog_rejects_broken_chain():
     e = ones(findim(2))
     good = open_interval(-e, e)
     also_good = open_interval(scale(F(-1, 2), e), scale(F(1, 2), e))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nested"):
         NeighborhoodCatalog(zero(findim(2)), (also_good, good))
+    # each rejection on its own: a center outside, then widths that stay put
+    with pytest.raises(ValueError, match="misses its center"):
+        NeighborhoodCatalog(scale(F(2), e), (good,))
+    with pytest.raises(ValueError, match="misses its center"):
+        NeighborhoodCatalog(scale(F(2), e), (), extras=(good,))
+    with pytest.raises(ValueError, match="strictly decrease"):
+        NeighborhoodCatalog(zero(findim(2)), (good, good))
+
+
+def test_catalog_computes_each_width_once(monkeypatch):
+    from ordertopo.ordersets import Interval
+
+    calls = 0
+    real = Interval.width
+
+    def counting(iv):
+        nonlocal calls
+        calls += 1
+        return real(iv)
+
+    monkeypatch.setattr(Interval, "width", counting)
+    symmetric_chain(zero(findim(3)), 10)
+    assert calls == 10
 
 
 # -- tau_e convergence reports ----------------------------------------------------------
