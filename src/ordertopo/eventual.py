@@ -481,15 +481,25 @@ def form_settle_vs_vec(form: Form, w: Vec, op: str) -> tuple[bool, int]:
 
     (True, K): holds for all k >= K; (False, K): fails for all k >= K.
     """
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}")
-    conds = []
-    for label, seq, present in _positions(form, max(form_prefix_bound(form), w.prefix_len)):
-        rel, k = settle_cmp(seq, w.at(label))
-        ok = _rel_ok(rel, op)
-        # a failing position only counts once its value is present
-        conds.append((ok, k if ok else max(k, present)))
-    return _and(conds)
+    return form_settle_ops(form, w, (op,))[0]
+
+
+def form_settle_ops(form: Form, w: Vec, ops: Sequence[str]) -> list[tuple[bool, int]]:
+    """``form_settle_vs_vec`` under each of ``ops``, one settle per position."""
+    for op in ops:
+        if op not in _OPS:
+            raise ValueError(f"unknown op {op!r}")
+    settled = [(settle_cmp(seq, w.at(label)), present) for label, seq, present
+               in _positions(form, max(form_prefix_bound(form), w.prefix_len))]
+    out = []
+    for op in ops:
+        conds = []
+        for (rel, k), present in settled:
+            ok = _rel_ok(rel, op)
+            # a failing position only counts once its value is present
+            conds.append((ok, k if ok else max(k, present)))
+        out.append(_and(conds))
+    return out
 
 
 # -- closure under running suprema and meets ---------------------------------------

@@ -45,6 +45,7 @@ from .eventual import (
     form_eventually_le,
     form_limit,
     form_prefix_bound,
+    form_settle_ops,
     form_settle_vs_vec,
     make_mono_form,
     running_sup_form,
@@ -558,11 +559,10 @@ def _eventual_member(form: Form, expr: SetExpr) -> tuple[bool, int]:
                 form_settle_vs_vec(form, iv.lo, "gt"),
                 form_settle_vs_vec(form, iv.hi, "lt"),
             ])
-        eqs = [form_settle_vs_vec(form, w, "eq") for w in (iv.lo, iv.hi)]
-        return _and([
-            form_settle_vs_vec(form, iv.lo, "ge"),
-            form_settle_vs_vec(form, iv.hi, "le"),
-        ] + [(not ok, k) for ok, k in eqs])
+        # one settle per endpoint serves both its bound and its "eq"
+        ge, lo_eq = form_settle_ops(form, iv.lo, ("ge", "eq"))
+        le, hi_eq = form_settle_ops(form, iv.hi, ("le", "eq"))
+        return _and([ge, le] + [(not ok, k) for ok, k in (lo_eq, hi_eq)])
     if isinstance(expr, HalfSpace):
         seq = tail_profile(form) if expr.coord == "tail" else coord_profile(form, expr.coord)
         rel, k = settle_cmp(seq, expr.bound)

@@ -8,11 +8,12 @@ solidity checking is three-valued with replayable refutation witnesses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .carriers import (
     TAIL_SEQ,
@@ -442,25 +443,26 @@ GRID_PREFIX_LEN = 2  # longest tailseq prefix on the probe grid
 GRID_LIMIT = 4096  # most probe vectors on one grid
 
 
-def grid_vectors(carrier: Carrier) -> list[Vec]:
-    """A deterministic grid of probe vectors, small magnitudes first."""
-    out: list[Vec] = []
+# More slots than the carriers a run cycles through: an LRU cache smaller
+# than that cycle misses on every call.  At most 8 * GRID_LIMIT vectors.
+@functools.lru_cache(maxsize=8)
+def grid_vectors(carrier: Carrier) -> tuple[Vec, ...]:
+    """A deterministic grid of probe vectors, small magnitudes first.
+
+    Built once per carrier; a tuple, so no caller can change the shared copy.
+    """
     if carrier.kind == "findim":
-        for combo in itertools.product(GRID_VALUES, repeat=carrier.dim):
-            out.append(Vec(carrier, combo))
-            if len(out) >= GRID_LIMIT:
-                break
+        vecs = (Vec(carrier, combo)
+                for combo in itertools.product(GRID_VALUES, repeat=carrier.dim))
     else:
-        for plen in range(GRID_PREFIX_LEN + 1):
-            for tail in GRID_VALUES:
-                for combo in itertools.product(GRID_VALUES, repeat=plen):
-                    out.append(Vec(carrier, combo, tail))
-                    if len(out) >= GRID_LIMIT:
-                        return _dedup(out)
-    return _dedup(out)
+        vecs = (Vec(carrier, combo, tail)
+                for plen in range(GRID_PREFIX_LEN + 1)
+                for tail in GRID_VALUES
+                for combo in itertools.product(GRID_VALUES, repeat=plen))
+    return tuple(_dedup(itertools.islice(vecs, GRID_LIMIT)))
 
 
-def _dedup(vecs: Sequence[Vec]) -> list[Vec]:
+def _dedup(vecs: Iterable[Vec]) -> list[Vec]:
     seen = set()
     out = []
     for v in vecs:
@@ -468,6 +470,22 @@ def _dedup(vecs: Sequence[Vec]) -> list[Vec]:
             seen.add(v)
             out.append(v)
     return out
+
+
+def _lazy_map(fn: Callable, items: Sequence) -> Callable[[int], object]:
+    """``i -> fn(items[i])``, each computed on first use and at most once.
+
+    ``fn`` must never return None, which marks an index not yet computed.
+    """
+    done: list = [None] * len(items)
+
+    def at(i: int):
+        got = done[i]
+        if got is None:
+            got = done[i] = fn(items[i])
+        return got
+
+    return at
 
 
 MAX_SOLID_PAIRS = 200_000  # (x, y) probe pairs tried before giving up
@@ -486,14 +504,17 @@ def check_solid(expr: SetExpr) -> SolidityVerdict:
     if carrier is None:
         return SolidityVerdict("unknown")
     probes = grid_vectors(carrier)
-    inside = [x for x in probes if member(expr, x)]
+    inside = _lazy_map(lambda p: member(expr, p), probes)
+    size = _lazy_map(abs, probes)
     tried = 0
-    for x in inside:
-        ax = abs(x)
-        for y in probes:
+    for i, x in enumerate(probes):
+        if not inside(i):
+            continue
+        ax = size(i)
+        for j, y in enumerate(probes):
             tried += 1
             if tried > MAX_SOLID_PAIRS:
                 return SolidityVerdict("unknown", searched=tried - 1)
-            if leq(abs(y), ax) and not member(expr, y):
+            if leq(size(j), ax) and not inside(j):
                 return SolidityVerdict("refuted", witness=(x, y), searched=tried)
     return SolidityVerdict("unknown", searched=tried)

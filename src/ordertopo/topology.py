@@ -68,6 +68,7 @@ from .ordersets import (
     Translate,
     Union,
     _dedup,
+    _lazy_map,
     carrier_of,
     collect_vectors,
     grid_vectors,
@@ -302,14 +303,20 @@ def _chain_probes(expr: SetExpr, carrier: Carrier, config: SearchConfig) -> list
     so these act as sanity probes rather than refuters, and the search only
     counts them.  Each chain is an ``Explicit`` family, so it equals no
     other candidate, and each starts at a different grid point, so no two
-    chains are equal.
+    chains are equal.  The walk stops at ``max_chains`` and tests
+    membership only at the grid points it reaches, each at most once.
     """
-    points = [p for p in grid_vectors(carrier) if member(expr, p)]
+    grid = grid_vectors(carrier)
+    inside = _lazy_map(lambda p: member(expr, p), grid)
     chains: list[Family] = []
-    for start in points:
+    for i, start in enumerate(grid):
         if len(chains) >= config.max_chains:
             break
-        above = next((q for q in points if q != start and leq(start, q)), None)
+        if not inside(i):
+            continue
+        # the grid holds no repeats, so j != i means q != start
+        above = next((q for j, q in enumerate(grid)
+                      if j != i and leq(start, q) and inside(j)), None)
         if above is not None:
             chains.append(Explicit((start, above)))
     return chains

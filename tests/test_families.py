@@ -534,3 +534,52 @@ def test_eventually_in_translate_and_dilate():
     grown = Dilate(box, F(4))
     got2 = eventually_in(f, grown)
     assert got2.status == "holds-from" and got2.index == 0
+
+
+def two_pass_open_member(form, iv):
+    # the open-interval rule settling each endpoint once per op
+    from ordertopo.eventual import _and, form_settle_vs_vec
+
+    eqs = [form_settle_vs_vec(form, w, "eq") for w in (iv.lo, iv.hi)]
+    return _and([form_settle_vs_vec(form, iv.lo, "ge"), form_settle_vs_vec(form, iv.hi, "le")]
+                + [(not ok, k) for ok, k in eqs])
+
+
+def test_open_interval_member_settles_each_endpoint_once(monkeypatch):
+    import ordertopo.eventual as eventual
+    from ordertopo.families import _eventual_member
+
+    f2 = findim(2)
+    families = [
+        CoordDecay(zero(f2), Vec.fin([1, -2])),
+        CoordDecay(Vec.fin([1, 0]), Vec.fin([-1, 3])),
+        Scale(Vec.fin([1, 4]), F(1, 3)),
+        Explicit((Vec.fin([0, 0]), Vec.fin([1, 1]), Vec.fin([2, 0]))),
+    ]
+    intervals = [
+        open_interval(Vec.fin([-1, -3]), Vec.fin([2, 1])),
+        open_interval(zero(f2), Vec.fin([1, 1])),
+        open_interval(Vec.fin([0, -1]), Vec.fin([1, 0])),
+        open_interval(Vec.fin([1, 1]), Vec.fin([2, 2])),
+    ]
+    real = eventual.settle_cmp
+    calls = 0
+
+    def counting(seq, c):
+        nonlocal calls
+        calls += 1
+        return real(seq, c)
+
+    outcomes = set()
+    for fam in families:
+        form = form_of(fam)
+        for iv in intervals:
+            want = two_pass_open_member(form, iv)
+            monkeypatch.setattr(eventual, "settle_cmp", counting)
+            calls = 0
+            got = _eventual_member(form, IntervalSet(iv))
+            monkeypatch.setattr(eventual, "settle_cmp", real)
+            assert got == want
+            assert calls == 4  # two positions, two endpoints; 8 when settled per op
+            outcomes.add(got[0])
+    assert outcomes == {True, False}

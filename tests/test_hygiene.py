@@ -3,7 +3,8 @@
 Every module of ``src/ordertopo`` uses each name it imports, and every
 module-level private function or class is referenced somewhere in the
 package.  ``__init__`` is exempt from the import rule: its imports are the
-public interface.
+public interface.  Every cache is bounded: each ``functools.lru_cache`` is
+called with an integer ``maxsize``, and ``functools.cache`` is not used.
 """
 
 import ast
@@ -60,3 +61,34 @@ def test_private_definitions_are_referenced():
         and node.name not in refs
     ]
     assert dead == []
+
+
+def _maxsize(call: ast.Call):
+    args = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    return args[0].value if args and isinstance(args[0], ast.Constant) else None
+
+
+def test_caches_are_bounded():
+    unbounded = []
+    for name, tree in _modules().items():
+        calls = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                # spelled functools.lru_cache so that this check sees each use
+                unbounded += [f"{name}: from functools import {a.name}" for a in node.names
+                              if a.name in ("cache", "lru_cache")]
+            if isinstance(node, ast.Attribute) and node.attr == "cache" and (
+                    isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                unbounded.append(f"{name}:{node.lineno}: functools.cache")
+            if isinstance(node, ast.Call) and _is_lru_cache(node.func):
+                size = _maxsize(node)
+                if type(size) is not int:
+                    unbounded.append(f"{name}:{node.lineno}: lru_cache maxsize {size!r}")
+            elif _is_lru_cache(node) and id(node) not in calls:
+                unbounded.append(f"{name}:{node.lineno}: lru_cache without maxsize")
+    assert unbounded == []
+
+
+def _is_lru_cache(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+            and isinstance(node.value, ast.Name) and node.value.id == "functools")

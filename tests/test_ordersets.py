@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -311,3 +312,32 @@ def test_grid_vectors_deterministic():
     a = grid_vectors(findim(2))
     b = grid_vectors(findim(2))
     assert a == b and len(a) == 49
+
+
+def test_grid_vectors_cached_per_carrier():
+    for carrier in (findim(2), TAIL_SEQ):
+        grid = grid_vectors(carrier)
+        assert isinstance(grid, tuple)
+        assert grid_vectors(carrier) is grid
+    assert grid_vectors(findim(2)) is grid_vectors(findim(2))  # equal carriers, one grid
+    # more slots than the carriers a run cycles through
+    assert grid_vectors.cache_info().maxsize == 8
+
+
+# SHA-256 of each grid in probe order, as the uncached grid gave them; a
+# cache must never reorder the probes
+GRID_ORDER = {
+    findim(1): (7, "1ef18515264a26055c4f2040e798bdc70c57743fcf142c1244236b138521ae54"),
+    findim(2): (49, "580a8503e762fd0fad1cc10f3817a4083e27348534437d30a1d7b2df4ca0376f"),
+    findim(3): (343, "0378e7e7009b6e37ecbc720ac446f3409635665c851cd20fe722237e0ba274ce"),
+    findim(4): (2401, "bea0122e92aad7ab0be325c2d5480cdf69a585c3e2a9a2d9002aa946497e415f"),
+    findim(5): (4096, "35a05089718840b484eb4c09cf3c2c031da4e0c74b0a4459b7d583bd1ecae3e7"),
+    TAIL_SEQ: (343, "4b3ad6a4a569b16ab70d8bdc0bb17bd6fbe3b843399518bf283be512b592dd27"),
+}
+
+
+@pytest.mark.parametrize("carrier", list(GRID_ORDER))
+def test_grid_vectors_order_pinned(carrier):
+    grid = grid_vectors(carrier)
+    text = "\n".join(f"{','.join(map(str, v.coords))};{v.tail}" for v in grid)
+    assert (len(grid), hashlib.sha256(text.encode()).hexdigest()) == GRID_ORDER[carrier]

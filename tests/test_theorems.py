@@ -181,3 +181,26 @@ def test_interval_convergence_reuses_a_plain_chain(monkeypatch):
     report = verify_interval_convergence_theorem(CoordDecay(x, Vec.fin([1, 2])), x, chain)
     assert report.conclusion == CONFIRMED
     assert built == 0
+
+
+def test_interval_convergence_solves_each_open_endpoint_threshold_once(monkeypatch):
+    # the open chain intervals ask for ">= lo" and "= lo" (and for hi) of the
+    # same endpoint; one settle serves both, so 20 geometric thresholds are
+    # solved where settling per op solved 30
+    from ordertopo.eventual import Geom
+    from ordertopo.families import Scale
+
+    calls = 0
+    real = Geom.first_below
+
+    def counting(self, t, start):
+        nonlocal calls
+        calls += 1
+        return real(self, t, start)
+
+    x = zero(findim(2))
+    chain = symmetric_chain(x, 5)
+    monkeypatch.setattr(Geom, "first_below", counting)
+    report = verify_interval_convergence_theorem(Scale(Vec.fin([1, 4]), F(9999, 10000)), x, chain)
+    assert report.conclusion == CONFIRMED
+    assert calls == 20
