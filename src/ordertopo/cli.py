@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .documents import DocumentError, parse_document, run_document
 from .ordersets import Semantics
 from .rationals import parse_rat
+from .records import replace
 
 COMMANDS = {
     "check-set": "check-set",

@@ -7,13 +7,13 @@ into a silently different problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from .carriers import Carrier, Vec
 from .families import Certificate, order_converges, validate_certificate
 from .ordersets import Semantics, SetExpr, check_solid
 from .rationals import format_rat
+from .records import record, replace
 from .serialize import (
     carrier_from_json,
     carrier_to_json,
@@ -76,7 +76,7 @@ THEOREM_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class ProblemDoc:
     carrier: Carrier
     semantics: Semantics
@@ -85,7 +85,7 @@ class ProblemDoc:
     config: SearchConfig
 
 
-@dataclass(frozen=True)
+@record
 class RunResult:
     exit_code: int
     text: str

@@ -18,12 +18,12 @@ templates rather than sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union as TUnion
 
 from .carriers import TAIL_SEQ, Carrier, CoordLabel, Vec, inf, sup
 from .rationals import ZERO, floor_frac, rat
+from .records import record
 
 Rel = int  # -1 below, 0 equal, +1 above
 
@@ -52,7 +52,7 @@ def _least_true(pred: Callable[[int], bool], start: int) -> int:
 # -- kernels ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Geom:
     """k -> lam^k with 0 < lam < 1."""
 
@@ -96,7 +96,7 @@ def _log_hint(lam: Fraction, t: Fraction) -> int:
     return math.floor(x) + 1 if math.isfinite(x) else 0
 
 
-@dataclass(frozen=True)
+@record
 class Harmonic:
     """k -> 1/(k+1+q) with q >= 0."""
 
@@ -122,13 +122,13 @@ Kernel = TUnion[Geom, Harmonic]
 # -- scalar sequences ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ConstSeq:
     a: Fraction
     start: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class MonoSeq:
     """a + b * kernel(k) with b != 0; strictly monotone to a."""
 
@@ -138,7 +138,7 @@ class MonoSeq:
     start: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class StepSeq:
     """Constant ``before`` until position ``at``, constant ``after`` from it."""
 
@@ -286,13 +286,13 @@ def _monotone_from(lam: Fraction, q: Fraction) -> int:
 # -- vector forms ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ConstForm:
     v: Vec
     start: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class MonoForm:
     """c + v * kernel(k), coordinatewise, with v != 0."""
 
@@ -302,7 +302,7 @@ class MonoForm:
     start: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class ShiftForm:
     """Tailseq only: fixed prefix, head up to position k, tail beyond."""
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union as TUnion
 
@@ -73,13 +72,16 @@ from .ordersets import (
     support_horizon,
 )
 from .rationals import rat
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Explicit:
     """Finitely many listed values, constant from the last one on."""
 
     values: tuple[Vec, ...]
+    # families key the form and walk caches, so a long list is hashed once
+    __slots__ = ("_hash",)
 
     def __post_init__(self):
         if not self.values:
@@ -88,16 +90,15 @@ class Explicit:
         if any(v.carrier != carrier for v in self.values):
             raise CarrierMismatch("explicit family mixes carriers")
 
-    # families key the form and walk caches, so a long list is hashed once
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash(self.values)
-
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash(self.values)
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
-@dataclass(frozen=True)
+@record
 class Shift:
     """value(k) carries ``head`` on the first k positions and ``tail`` beyond.
 
@@ -113,7 +114,7 @@ class Shift:
         object.__setattr__(self, "tail", rat(self.tail))
 
 
-@dataclass(frozen=True)
+@record
 class Scale:
     """value(k) = lam^k * v with v >= 0 and 0 < lam < 1."""
 
@@ -128,7 +129,7 @@ class Scale:
             raise ValueError("scale template needs a nonnegative vector")
 
 
-@dataclass(frozen=True)
+@record
 class CoordDecay:
     """value(k) = c + p/(k+1+q), coordinatewise."""
 
@@ -144,23 +145,24 @@ class CoordDecay:
             raise CarrierMismatch("center and direction live in different carriers")
 
 
-@dataclass(frozen=True)
+@record
 class RunningSupMeet:
     """value(k) = (sup of base values up to k) meet cap."""
 
     base: "Family"
     cap: Vec
+    __slots__ = ("_hash",)
 
     def __post_init__(self):
         if family_carrier(self.base) != self.cap.carrier:
             raise CarrierMismatch("cap lives in a different carrier than the base")
 
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.base, self.cap))
-
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.base, self.cap))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 Family = TUnion[Explicit, Shift, Scale, CoordDecay, RunningSupMeet]
@@ -298,7 +300,7 @@ def form_of(F: Family) -> Form:
 # -- monotonicity ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Monotonicity:
     direction: str  # "increasing" | "decreasing" | "neither"
     rule: str
@@ -376,7 +378,7 @@ def pointwise_limit(F: Family) -> Vec:
 # -- order convergence -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """Replayable evidence of order convergence.
 
@@ -390,7 +392,7 @@ class Certificate:
     threshold_map: Optional[tuple[tuple[int, int], ...]] = None
 
 
-@dataclass(frozen=True)
+@record
 class Refutation:
     limit: Vec
     candidate: Vec
@@ -507,7 +509,7 @@ def validate_certificate(F: Family, cert: Certificate) -> bool:
 # -- eventual membership -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EventualVerdict:
     """Decided eventual membership.
 

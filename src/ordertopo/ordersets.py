@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -29,6 +28,7 @@ from .carriers import (
     zero,
 )
 from .rationals import rat
+from .records import record
 
 
 class Semantics(Enum):
@@ -48,7 +48,7 @@ class IntervalKind(Enum):
     CLOSED = "closed"
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     lo: Vec
     hi: Vec
@@ -107,12 +107,12 @@ class SetExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class IntervalSet(SetExpr):
     interval: Interval
 
 
-@dataclass(frozen=True)
+@record
 class Ideal(SetExpr):
     gens: tuple[Vec, ...]
 
@@ -121,7 +121,7 @@ class Ideal(SetExpr):
             raise ValueError("ideal needs at least one generator")
 
 
-@dataclass(frozen=True)
+@record
 class Band(SetExpr):
     gens: tuple[Vec, ...]
 
@@ -130,7 +130,7 @@ class Band(SetExpr):
             raise ValueError("band needs at least one generator")
 
 
-@dataclass(frozen=True)
+@record
 class SolidHull(SetExpr):
     gens: tuple[Vec, ...]
 
@@ -139,7 +139,7 @@ class SolidHull(SetExpr):
             raise ValueError("solid hull needs at least one generator")
 
 
-@dataclass(frozen=True)
+@record
 class HalfSpace(SetExpr):
     """{z : z_coord <= bound} or {z : z_coord >= bound}; coord may be "tail"."""
 
@@ -155,33 +155,33 @@ class HalfSpace(SetExpr):
         object.__setattr__(self, "bound", rat(self.bound))
 
 
-@dataclass(frozen=True)
+@record
 class TailZero(SetExpr):
     """Sequences whose constant tail is zero (an ideal, not a band)."""
 
 
-@dataclass(frozen=True)
+@record
 class Complement(SetExpr):
     inner: SetExpr
 
 
-@dataclass(frozen=True)
+@record
 class Union(SetExpr):
     parts: tuple[SetExpr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Intersection(SetExpr):
     parts: tuple[SetExpr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Translate(SetExpr):
     inner: SetExpr
     by: Vec
 
 
-@dataclass(frozen=True)
+@record
 class Dilate(SetExpr):
     inner: SetExpr
     factor: Fraction
@@ -366,7 +366,7 @@ def is_atom(x: Vec) -> bool:
     return sum(1 for c in x.coords if c != 0) == 1
 
 
-@dataclass(frozen=True)
+@record
 class AtomsReport:
     carrier: Carrier
     atomic: bool
@@ -393,7 +393,7 @@ def carrier_atoms(carrier: Carrier) -> AtomsReport:
 # -- solidity ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SolidityVerdict:
     status: str  # "certified" | "refuted" | "unknown"
     rule_trace: tuple[str, ...] = ()

@@ -11,7 +11,6 @@ expected claim raises the ``contradicts_expectations`` flag for the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,6 +44,7 @@ from .ordersets import (
     member,
     open_interval,
 )
+from .records import record
 from .topology import (
     DEFAULT_CONFIG,
     NeighborhoodCatalog,
@@ -63,7 +63,7 @@ COUNTEREXAMPLE = "counterexample-found"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@record
 class TheoremStep:
     name: str
     operation: str
@@ -71,7 +71,7 @@ class TheoremStep:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class TheoremReport:
     theorem_id: str
     inputs: tuple[tuple[str, str], ...]

@@ -18,7 +18,6 @@ survive monotone limits, and the rules below never certify anything else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -78,9 +77,10 @@ from .ordersets import (
     support_horizon,
 )
 from .rationals import rat
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class SearchConfig:
     """Knobs for the witness search; defaults follow the artifact's grids."""
 
@@ -183,7 +183,7 @@ def _apply_dilate(inner: SetExpr, t: Fraction) -> SetExpr:
 # -- verdicts ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ClosureWitness:
     """A replayable closure failure: a family living in the set whose
     order limit escapes it."""
@@ -195,13 +195,13 @@ class ClosureWitness:
     certificate: Optional[Certificate] = None
 
 
-@dataclass(frozen=True)
+@record
 class SearchReport:
     candidates: int
     grids: str
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: str  # "certified" | "refuted" | "unknown"
     rule_trace: tuple[str, ...] = ()
@@ -417,7 +417,7 @@ def replay_witness(expr: SetExpr, witness: ClosureWitness) -> bool:
 # -- neighborhood catalogs ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NeighborhoodCatalog:
     """Open intervals around a center; the chain part is nested with
     strictly shrinking widths."""
@@ -476,7 +476,7 @@ def neighborhood_catalog(x: Vec, depth: int,
     return NeighborhoodCatalog(x, base.chain, tuple(extras))
 
 
-@dataclass(frozen=True)
+@record
 class TauEReport:
     """Outcome of probing convergence against a catalog of neighborhoods."""
 
@@ -504,7 +504,7 @@ def tau_e_convergence_report(F: Family, x: Vec,
 # -- interval fitting ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FitResult:
     interval: Interval
     steps: int  # dyadic shrink exponent used
@@ -673,14 +673,14 @@ def _interval_lattice(iv: Interval, min_count: int):
 # -- the vector-topology probe ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ProbeEntry:
     operation: str  # "translate" | "dilate"
     parameter: str
     status: str
 
 
-@dataclass(frozen=True)
+@record
 class ProbeReport:
     base_status: str
     entries: tuple[ProbeEntry, ...]

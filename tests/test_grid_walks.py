@@ -6,7 +6,6 @@ every grid point first; they are kept here as references, and both walks
 must agree with them on chains, statuses, witnesses and pair counts.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +31,7 @@ from ordertopo.ordersets import (
     member,
     open_interval,
 )
+from ordertopo.records import replace
 from ordertopo.topology import DEFAULT_CONFIG, _chain_probes, normalize_expr
 
 F = Fraction

@@ -5,9 +5,15 @@ module-level private function or class is referenced somewhere in the
 package.  ``__init__`` is exempt from the import rule: its imports are the
 public interface.  Every cache is bounded: each ``functools.lru_cache`` is
 called with an integer ``maxsize``, and ``functools.cache`` is not used.
+No module imports ``dataclasses``: the value types are ``records.record``
+classes, and importing the CLI loads neither ``dataclasses`` nor
+``inspect``, since every CLI verdict runs in a fresh process.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ordertopo"
@@ -92,3 +98,24 @@ def test_caches_are_bounded():
 def _is_lru_cache(node) -> bool:
     return (isinstance(node, ast.Attribute) and node.attr == "lru_cache"
             and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{name}: import {a.name}" for a in node.names
+                          if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.append(f"{name}: from dataclasses import ...")
+    assert found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys, ordertopo.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

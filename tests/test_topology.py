@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,7 @@ from ordertopo.ordersets import (
     member,
     open_interval,
 )
+from ordertopo.records import replace
 from ordertopo.topology import (
     DEFAULT_CONFIG,
     NeighborhoodCatalog,
