@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .rationals import ZERO, rat
-from .records import frozen_delattr, frozen_setattr, record
+from .records import record
 
 CoordLabel = Union[int, str]  # 1-based position, or "tail"
 
@@ -45,27 +45,18 @@ def findim(n: int) -> Carrier:
 TAIL_SEQ = Carrier("tailseq", 0)
 
 
+@record
 class Vec:
     """An exact vector of one of the two carriers.
 
     For findim, ``coords`` holds all coordinates and ``tail`` is None.
     For tailseq, ``coords`` is the prefix and ``tail`` the constant value
     taken from position len(coords)+1 on.
-
-    A frozen, slotted value: equal vectors hash equal, and the hash is
-    computed on first use and then stored.
     """
 
-    __slots__ = ("carrier", "coords", "tail", "_hash")
-    __match_args__ = ("carrier", "coords", "tail")
-
-    def __init__(self, carrier: Carrier, coords: tuple[Fraction, ...],
-                 tail: Fraction | None = None):
-        _set_carrier(self, carrier)
-        _set_coords(self, coords)
-        _set_tail(self, tail)
-        _set_hash(self, None)
-        self.__post_init__()
+    carrier: Carrier
+    coords: tuple[Fraction, ...]
+    tail: Fraction | None = None
 
     def __post_init__(self):
         if self.carrier.kind == "findim":
@@ -82,25 +73,7 @@ class Vec:
             while coords and coords[-1] == self.tail:
                 coords = coords[:-1]
             if coords is not self.coords:
-                _set_coords(self, coords)
-
-    def __eq__(self, other):
-        if other.__class__ is not Vec:
-            return NotImplemented
-        return (self.coords, self.tail, self.carrier) == (other.coords, other.tail, other.carrier)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.carrier, self.coords, self.tail))
-            _set_hash(self, h)
-        return h
-
-    def __repr__(self) -> str:
-        return f"Vec(carrier={self.carrier!r}, coords={self.coords!r}, tail={self.tail!r})"
-
-    __setattr__ = frozen_setattr
-    __delattr__ = frozen_delattr
+                object.__setattr__(self, "coords", coords)
 
     # -- construction helpers ------------------------------------------------
 
@@ -165,14 +138,6 @@ class Vec:
         if self.carrier.kind == "findim":
             return Vec(self.carrier, tuple(fn(c) for c in self.coords))
         return Vec(self.carrier, tuple(fn(c) for c in self.coords), fn(self.tail))
-
-
-# __init__ fills a vector's slots through their descriptors, since
-# __setattr__ refuses every assignment
-_set_carrier = Vec.carrier.__set__
-_set_coords = Vec.coords.__set__
-_set_tail = Vec.tail.__set__
-_set_hash = Vec._hash.__set__
 
 
 def _require_same_carrier(x: Vec, y: Vec) -> None:

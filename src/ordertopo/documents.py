@@ -292,7 +292,7 @@ def _run_theorem(doc: ProblemDoc) -> RunResult:
         x = _parse_vec(doc, doc.payload, "limit", f"{path}.limit")
         depth = _get_int(doc.payload, "depth", path, default=10)
         chain = symmetric_chain(x, depth, doc.semantics)
-        report = verify_interval_convergence_theorem(family, x, chain, doc.config)
+        report = verify_interval_convergence_theorem(family, x, chain)
     elif tid == "band-proposition":
         _expect_keys(doc.payload, path, {"id", "set"}, set())
         expr = _parse_expr(doc, doc.payload, "set", f"{path}.set")

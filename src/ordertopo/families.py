@@ -80,8 +80,6 @@ class Explicit:
     """Finitely many listed values, constant from the last one on."""
 
     values: tuple[Vec, ...]
-    # families key the form and walk caches, so a long list is hashed once
-    __slots__ = ("_hash",)
 
     def __post_init__(self):
         if not self.values:
@@ -89,13 +87,6 @@ class Explicit:
         carrier = self.values[0].carrier
         if any(v.carrier != carrier for v in self.values):
             raise CarrierMismatch("explicit family mixes carriers")
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.values)
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 @record
@@ -151,18 +142,10 @@ class RunningSupMeet:
 
     base: "Family"
     cap: Vec
-    __slots__ = ("_hash",)
 
     def __post_init__(self):
         if family_carrier(self.base) != self.cap.carrier:
             raise CarrierMismatch("cap lives in a different carrier than the base")
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.base, self.cap))
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 Family = TUnion[Explicit, Shift, Scale, CoordDecay, RunningSupMeet]

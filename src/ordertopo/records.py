@@ -10,15 +10,14 @@ fraction of the cost of defining it:
 * assigning or deleting an attribute raises ``FrozenInstanceError``;
   ``__post_init__`` normalizes a field with ``object.__setattr__``;
 * ``==`` holds only between instances of the same class with equal fields;
-* the hash is the hash of the field tuple, unless the class defines its
-  own ``__hash__``; the constructor stores that tuple after
-  ``__post_init__``, so ``==`` and the hash build no tuple;
+* the hash is the hash of the field tuple; the constructor stores that
+  tuple after ``__post_init__``, so ``==`` builds no tuple, and the hash is
+  stored on first use, so a record is hashed once;
 * the repr is ``Name(field=value, ...)``, byte-identical to the dataclass
   one.
 
-Names the class body lists in ``__slots__`` become extra slots that the
-constructor sets to None (a stored hash, for instance).  ``__match_args__``
-holds the field names; ``replace`` copies a record with some fields changed.
+``__match_args__`` holds the field names; ``replace`` copies a record with
+some fields changed.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ class FrozenInstanceError(AttributeError):
     """An assignment to, or deletion of, an attribute of a record."""
 
 
-# the __setattr__ and __delattr__ of every record, and of the hand-written Vec
-def frozen_setattr(self, name, value):
+def _frozen_setattr(self, name, value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
-def frozen_delattr(self, name):
+def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -43,8 +41,12 @@ def _eq(self, other):
     return NotImplemented
 
 
-def _hash(self):
-    return hash(self._values)
+def _stored_hash(self):
+    h = self._hash
+    if h is None:
+        h = hash(self._values)
+        object.__setattr__(self, "_hash", h)
+    return h
 
 
 def _repr(self):
@@ -56,37 +58,35 @@ def record(cls):
     """Rebuild ``cls`` as a frozen, slotted record of its annotated fields."""
     ns = dict(cls.__dict__)
     names = tuple(ns.get("__annotations__", {}))
-    extra = tuple(ns.pop("__slots__", ()))
     scope = {f"_d_{name}": ns.pop(name) for name in names if name in ns}  # defaults
-    for name in extra:
-        ns.pop(name)  # the slot descriptor of the class being replaced
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
     ns["__qualname__"] = cls.__qualname__
     if names:
-        ns["__slots__"] = names + extra + ("_values",)
+        ns["__slots__"] = names + ("_values", "_hash")
     else:  # every instance has the same, empty field tuple
-        ns["__slots__"] = extra
+        ns["__slots__"] = ()
         ns["_values"] = ()
+        ns["_hash"] = hash(())
     ns["__match_args__"] = names
     ns["__eq__"] = _eq
-    ns.setdefault("__hash__", _hash)
+    ns["__hash__"] = _stored_hash
     ns.setdefault("__repr__", _repr)
-    ns["__setattr__"] = frozen_setattr
-    ns["__delattr__"] = frozen_delattr
+    ns["__setattr__"] = _frozen_setattr
+    ns["__delattr__"] = _frozen_delattr
     new = type(cls)(cls.__name__, cls.__bases__, ns)
 
     # one small constructor: each slot is filled through its descriptor, and
     # the field tuple is stored once __post_init__ has normalized the fields
     params = ["self"] + [f"{n}=_d_{n}" if f"_d_{n}" in scope else n for n in names]
-    scope.update((f"_set_{name}", getattr(new, name).__set__) for name in names + extra)
+    scope.update((f"_set_{name}", getattr(new, name).__set__) for name in new.__slots__)
     body = [f"_set_{name}(self, {name})" for name in names]
-    body += [f"_set_{name}(self, None)" for name in extra]
+    if names:
+        body.append("_set__hash(self, None)")
     if hasattr(new, "__post_init__"):
         body.append("self.__post_init__()")
     if names:
-        scope["_store"] = new._values.__set__
-        body.append(f"_store(self, ({''.join(f'self.{name}, ' for name in names)}))")
+        body.append(f"_set__values(self, ({''.join(f'self.{name}, ' for name in names)}))")
     exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]), scope)
     new.__init__ = scope["__init__"]
     new.__init__.__qualname__ = f"{new.__qualname__}.__init__"

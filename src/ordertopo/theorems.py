@@ -163,8 +163,7 @@ def _chain_widths_canonical(chain: NeighborhoodCatalog) -> bool:
 
 
 def verify_interval_convergence_theorem(F: Family, x: Vec,
-                                        chain: NeighborhoodCatalog,
-                                        config: SearchConfig = DEFAULT_CONFIG) -> TheoremReport:
+                                        chain: NeighborhoodCatalog) -> TheoremReport:
     """Check the implication: interval-topology convergence forces order
     convergence, via the width construction.
 
@@ -309,8 +308,6 @@ def _running_sup_probes(expr: SetExpr) -> tuple[bool, str]:
 
 
 def verify_interval_fit_probe(catalog: Sequence[SetExpr], samples_per_set: int,
-                              min_grid_samples: int = 1000,
-                              budget: int = 16,
                               carrier=None,
                               config: SearchConfig = DEFAULT_CONFIG) -> TheoremReport:
     """For certified-open sets, every sampled member admits a fitted
@@ -327,8 +324,7 @@ def verify_interval_fit_probe(catalog: Sequence[SetExpr], samples_per_set: int,
         failures = 0
         sampled = 0
         for c in points:
-            fit = interval_fit(c, expr, budget=budget,
-                               min_samples=min_grid_samples, config=config)
+            fit = interval_fit(c, expr, config=config)
             if fit is None:
                 failures += 1
             elif fit.evidence == "sampled":

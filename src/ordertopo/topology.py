@@ -80,15 +80,18 @@ from .rationals import rat
 from .records import record
 
 
+# the witness search grid, following the artifact's grids
+LAMBDAS = (Fraction(1, 2), Fraction(1, 3))  # ratios of the scale templates
+GEN_SCALES = (Fraction(1, 2), Fraction(1), Fraction(2))  # generator multiples
+MAX_CHAINS = 4  # two-point chain probes counted per search
+MAX_CANDIDATES = 600  # candidates tried per search, chain probes included
+
+
 @record
 class SearchConfig:
-    """Knobs for the witness search; defaults follow the artifact's grids."""
+    """What a document may set for the witness search."""
 
     grid_scale: Fraction = Fraction(1)
-    lambdas: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1, 3))
-    gen_scales: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1), Fraction(2))
-    max_chains: int = 4
-    max_candidates: int = 600
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -101,7 +104,9 @@ def normalize_expr(expr: SetExpr) -> SetExpr:
     """Push complements and affine images down to the primitive leaves.
 
     Every rewrite is an exact set identity, so membership is preserved;
-    the certification rules match on the result.
+    the certification rules match on the result.  ``_apply_dilate``
+    rewrites every node, so no ``Dilate`` is left, and the rules that take
+    normalized input have no dilate case.
     """
     if isinstance(expr, Complement):
         inner = normalize_expr(expr.inner)
@@ -143,9 +148,6 @@ def _apply_translate(inner: SetExpr, a: Vec) -> SetExpr:
         return Complement(_apply_translate(inner.inner, a))
     if isinstance(inner, Translate):
         return _apply_translate(inner.inner, a + inner.by)
-    if isinstance(inner, Dilate):
-        return _apply_dilate(_apply_translate(inner.inner, scale(1 / inner.factor, a)),
-                             inner.factor)
     return Translate(inner, a)
 
 
@@ -173,11 +175,9 @@ def _apply_dilate(inner: SetExpr, t: Fraction) -> SetExpr:
         return Intersection(tuple(_apply_dilate(p, t) for p in inner.parts))
     if isinstance(inner, Complement):
         return Complement(_apply_dilate(inner.inner, t))
-    if isinstance(inner, Dilate):
-        return _apply_dilate(inner.inner, t * inner.factor)
     if isinstance(inner, Translate):
         return _apply_translate(_apply_dilate(inner.inner, t), scale(t, inner.by))
-    return Dilate(inner, t)
+    raise TypeError(f"not a set expression: {inner!r}")
 
 
 # -- verdicts ---------------------------------------------------------------------
@@ -238,9 +238,6 @@ def _certify_closed(expr: SetExpr) -> Optional[list[str]]:
     if isinstance(expr, Translate):
         sub = _certify_closed(expr.inner)
         return ["translate-image"] + sub if sub is not None else None
-    if isinstance(expr, Dilate):
-        sub = _certify_closed(expr.inner)
-        return ["dilate-image"] + sub if sub is not None else None
     return None
 
 
@@ -283,9 +280,9 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
         ag = abs(g)
         if ag.is_zero():
             continue
-        for s in config.gen_scales:
+        for s in GEN_SCALES:
             v = scale(s * gs, ag)
-            for lam in config.lambdas:
+            for lam in LAMBDAS:
                 out.append(Scale(v, lam))
     deduped: list[Family] = []
     seen: set = set()
@@ -293,24 +290,24 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
         if f not in seen:
             seen.add(f)
             deduped.append(f)
-    return deduped[: config.max_candidates]
+    return deduped[:MAX_CANDIDATES]
 
 
-def _chain_probes(expr: SetExpr, carrier: Carrier, config: SearchConfig) -> list[Family]:
+def _chain_probes(expr: SetExpr, carrier: Carrier) -> list[Family]:
     """Two-point monotone chains of grid points inside the set.
 
     Eventually-constant families can never leave their final value behind,
     so these act as sanity probes rather than refuters, and the search only
     counts them.  Each chain is an ``Explicit`` family, so it equals no
     other candidate, and each starts at a different grid point, so no two
-    chains are equal.  The walk stops at ``max_chains`` and tests
+    chains are equal.  The walk stops at ``MAX_CHAINS`` and tests
     membership only at the grid points it reaches, each at most once.
     """
     grid = grid_vectors(carrier)
     inside = _lazy_map(lambda p: member(expr, p), grid)
     chains: list[Family] = []
     for i, start in enumerate(grid):
-        if len(chains) >= config.max_chains:
+        if len(chains) >= MAX_CHAINS:
             break
         if not inside(i):
             continue
@@ -363,10 +360,9 @@ def _closure_check(expr: SetExpr, config: SearchConfig,
             return Verdict("refuted", witness=hit)
     # the chain probes follow every other candidate and never refute, so
     # they only add to the count
-    count = min(config.max_candidates,
-                len(candidates) + len(_chain_probes(norm, carrier, config)))
-    grids = (f"templates={count} lambdas={list(map(str, config.lambdas))} "
-             f"gen_scales={list(map(str, config.gen_scales))} scale={config.grid_scale}")
+    count = min(MAX_CANDIDATES, len(candidates) + len(_chain_probes(norm, carrier)))
+    grids = (f"templates={count} lambdas={list(map(str, LAMBDAS))} "
+             f"gen_scales={list(map(str, GEN_SCALES))} scale={config.grid_scale}")
     return Verdict("unknown", search_report=SearchReport(count, grids))
 
 
@@ -600,11 +596,6 @@ def _interval_contained(iv: Interval, expr: SetExpr) -> Optional[bool]:
     if isinstance(expr, Translate):
         shifted = Interval(a - expr.by, b - expr.by, iv.kind, iv.semantics)
         return _interval_contained(shifted, expr.inner)
-    if isinstance(expr, Dilate):
-        lo, hi = scale(1 / expr.factor, a), scale(1 / expr.factor, b)
-        if expr.factor < 0:
-            lo, hi = hi, lo
-        return _interval_contained(Interval(lo, hi, iv.kind, iv.semantics), expr.inner)
     return None
 
 

@@ -213,8 +213,7 @@ def test_interval_fit_probe_catalog():
             )),
         ]
         report = verify_interval_fit_probe(
-            catalog, samples_per_set=50, min_grid_samples=1000, budget=16,
-            carrier=findim(2))
+            catalog, samples_per_set=50, carrier=findim(2))
         assert report.conclusion == CONFIRMED
         assert len(report.steps) == 5
         for step in report.steps:

@@ -275,3 +275,50 @@ def test_parse_document_strictness():
                 "task": {"check-set": {"set": {"tail-zero": True}, "mode": "solid"}},
                 "search": search,
             })
+
+
+def open_box_complement_doc(search=None):
+    doc = {
+        "carrier": {"kind": "findim", "dim": 3},
+        "task": {"check-set": {
+            "set": {"complement": {"interval": {"lo": ["0", "0", "0"], "hi": ["1", "1", "1"],
+                                                "kind": "open"}}},
+            "mode": "order-closed",
+        }},
+    }
+    if search is not None:
+        doc["search"] = search
+    return doc
+
+
+def grids_of(tmp_path, doc, flags=()):
+    path = write_doc(tmp_path, "doc.json", doc)
+    out_path = tmp_path / "report.json"
+    code, text = run_cli(["check-set", path, "--output", str(out_path), *flags])
+    assert code == 0 and "status: unknown" in text
+    return json.loads(out_path.read_text())["verdict"]["search_report"]["grids"]
+
+
+def test_grid_scale_default_flag_and_document(tmp_path):
+    assert grids_of(tmp_path, open_box_complement_doc()).endswith(" scale=1")
+    by_flag = grids_of(tmp_path, open_box_complement_doc(), ["--grid-scale", "1/2"])
+    by_doc = grids_of(tmp_path, open_box_complement_doc({"grid-scale": "1/2"}))
+    assert by_flag == by_doc and by_doc.endswith(" scale=1/2")
+
+
+def test_grid_scale_flag_overrides_the_document(tmp_path):
+    doc = open_box_complement_doc({"grid-scale": "2"})
+    assert grids_of(tmp_path, doc).endswith(" scale=2")
+    assert grids_of(tmp_path, doc, ["--grid-scale", "1/2"]).endswith(" scale=1/2")
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "abc"])
+def test_bad_grid_scale_is_input_error(tmp_path, capsys, bad):
+    path = write_doc(tmp_path, "doc.json", open_box_complement_doc())
+    code, text = run_cli(["check-set", path, "--grid-scale", bad])
+    assert code == 1 and text == ""
+    assert "--grid-scale" in capsys.readouterr().err
+    path = write_doc(tmp_path, "bad.json", open_box_complement_doc({"grid-scale": bad}))
+    code, text = run_cli(["check-set", path])
+    assert code == 1 and text == ""
+    assert "$.search.grid-scale" in capsys.readouterr().err

@@ -31,18 +31,17 @@ from ordertopo.ordersets import (
     member,
     open_interval,
 )
-from ordertopo.records import replace
-from ordertopo.topology import DEFAULT_CONFIG, _chain_probes, normalize_expr
+from ordertopo.topology import _chain_probes, normalize_expr
 
 F = Fraction
 CARRIERS = [findim(1), findim(2), findim(3), findim(4), TAIL_SEQ]
 
 
-def eager_chain_probes(expr, carrier, config):
+def eager_chain_probes(expr, carrier):
     points = [p for p in grid_vectors(carrier) if member(expr, p)]
     chains = []
     for start in points:
-        if len(chains) >= config.max_chains:
+        if len(chains) >= topology.MAX_CHAINS:
             break
         above = next((q for q in points if q != start and leq(start, q)), None)
         if above is not None:
@@ -95,11 +94,11 @@ CASES = [(c, s) for c in CARRIERS for s in catalogue(c)]
 
 
 @pytest.mark.parametrize("carrier, expr", CASES)
-def test_chain_probes_match_the_eager_walk(carrier, expr):
+def test_chain_probes_match_the_eager_walk(carrier, expr, monkeypatch):
     norm = normalize_expr(expr)
     for max_chains in (0, 1, 4, 9):
-        config = replace(DEFAULT_CONFIG, max_chains=max_chains)
-        assert _chain_probes(norm, carrier, config) == eager_chain_probes(norm, carrier, config)
+        monkeypatch.setattr(topology, "MAX_CHAINS", max_chains)
+        assert _chain_probes(norm, carrier) == eager_chain_probes(norm, carrier)
 
 
 @pytest.mark.parametrize("carrier, expr", CASES)
@@ -124,8 +123,8 @@ def test_chain_probes_test_membership_only_where_the_walk_reaches(monkeypatch):
     carrier = findim(4)
     expr = normalize_expr(Complement(IntervalSet(open_interval(zero(carrier), ones(carrier)))))
     monkeypatch.setattr(topology, "member", counting)
-    chains = _chain_probes(expr, carrier, DEFAULT_CONFIG)
-    assert len(chains) == DEFAULT_CONFIG.max_chains
+    chains = _chain_probes(expr, carrier)
+    assert len(chains) == topology.MAX_CHAINS
     assert calls < 100  # the eager walk tested all 2401 grid points
 
 

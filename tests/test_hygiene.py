@@ -7,7 +7,9 @@ public interface.  Every cache is bounded: each ``functools.lru_cache`` is
 called with an integer ``maxsize``, and ``functools.cache`` is not used.
 No module imports ``dataclasses``: the value types are ``records.record``
 classes, and importing the CLI loads neither ``dataclasses`` nor
-``inspect``, since every CLI verdict runs in a fresh process.
+``inspect``, since every CLI verdict runs in a fresh process.  No class
+writes its own equality, hash, frozen setters or slots: ``records.record``
+is the one implementation of a frozen value.
 """
 
 import ast
@@ -119,3 +121,32 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+RECORD_MACHINERY = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+
+
+def _class_body_names(node: ast.ClassDef):
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt.name, None
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id, stmt.value
+
+
+def test_no_class_writes_record_machinery_by_hand():
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for attr, value in _class_body_names(node):
+                empty_slots = (isinstance(value, (ast.Tuple, ast.List)) and not value.elts
+                               or isinstance(value, ast.Constant) and not value.value)
+                if attr in RECORD_MACHINERY or (attr == "__slots__" and not empty_slots):
+                    found.append(f"{name}:{node.lineno}: {node.name}.{attr}")
+    assert found == []

@@ -221,6 +221,19 @@ def test_check_solid_symmetric_interval_certified():
     assert verdict.status == "certified"
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "check_solid walks its pairs x-major over the grid and stops at MAX_SOLID_PAIRS "
+    "long before x = (1, 1, 1, -1), the last grid member, so it ends unknown"))
+def test_check_solid_refutes_the_open_box_of_findim_4():
+    e = ones(findim(4))
+    s = IntervalSet(open_interval(-e, e))
+    x, y = Vec.fin([1, 1, 1, -1]), e
+    # (x, y) refutes solidity, and both lie on the probe grid
+    assert member(s, x) and not member(s, y) and leq(abs(y), abs(x))
+    assert x in grid_vectors(findim(4)) and y in grid_vectors(findim(4))
+    assert check_solid(s).status == "refuted"
+
+
 def test_check_solid_union_and_ideal():
     s = Ideal((e1_seq(),))
     assert check_solid(s).status == "certified"

@@ -44,6 +44,7 @@ from ordertopo.ordersets import (
     member,
     open_interval,
 )
+from ordertopo.topology import normalize_expr
 from randvec import rand_rat, rand_vec
 
 F = Fraction
@@ -180,3 +181,30 @@ def test_eventually_in_matches_long_exact_scan():
             assert not membership[got.witness_index - k0], (trial, fam, expr)
         checked += 1
     assert checked == 250
+
+
+def _nodes(expr):
+    yield expr
+    if isinstance(expr, (Complement, Translate, Dilate)):
+        yield from _nodes(expr.inner)
+    elif isinstance(expr, (Union, Intersection)):
+        for p in expr.parts:
+            yield from _nodes(p)
+
+
+def test_normalization_leaves_no_dilate_and_keeps_membership():
+    # the rules that take normalized input have no dilate case
+    rng = random.Random(555005)
+    dilated = translated = 0
+    for trial in range(1000):
+        carrier = findim(rng.randint(1, 3)) if rng.random() < 0.5 else TAIL_SEQ
+        expr = random_set(rng, carrier, depth=rng.randint(1, 5))
+        norm = normalize_expr(expr)
+        nodes = list(_nodes(norm))
+        assert not any(isinstance(n, Dilate) for n in nodes), (trial, expr)
+        dilated += any(isinstance(n, Dilate) for n in _nodes(expr))
+        translated += any(isinstance(n, Translate) for n in nodes)
+        for _ in range(5):
+            z = rand_vec(rng, carrier, max_den=4, max_prefix=3)
+            assert member(expr, z) == member(norm, z), (trial, expr, z)
+    assert dilated > 50 and translated > 0

@@ -63,7 +63,7 @@ PINNED_REPRS = {
     'geom': 'Geom(lam=Fraction(1, 3))',
     'mono_seq': 'MonoSeq(a=Fraction(0, 1), b=Fraction(1, 1), kernel=Harmonic(q=Fraction(0, 1)), start=2)',
     'shift_form': 'ShiftForm(fixed=(Fraction(1, 1),), head=Fraction(0, 1), tailv=Fraction(1, 1), start=1)',
-    'search_config': 'SearchConfig(grid_scale=Fraction(1, 1), lambdas=(Fraction(1, 2), Fraction(1, 3)), gen_scales=(Fraction(1, 2), Fraction(1, 1), Fraction(2, 1)), max_chains=4, max_candidates=600)',
+    'search_config': 'SearchConfig(grid_scale=Fraction(1, 1))',
     'search_report': "SearchReport(candidates=3, grids='g')",
     'theorem_step': "TheoremStep(name='n', operation='op', outcome='ok', detail='')",
     'run_result': "RunResult(exit_code=1, text='text\\n', report={'status': 'unknown'})",
@@ -150,10 +150,11 @@ def test_post_init_normalizes_before_the_fields_are_compared():
 
 def test_replace_changes_fields_and_reruns_post_init():
     config = SearchConfig()
-    changed = replace(config, grid_scale=F(1, 2), max_chains=2)
-    assert changed.grid_scale == F(1, 2) and changed.max_chains == 2
-    assert changed.lambdas == config.lambdas
+    changed = replace(config, grid_scale=F(1, 2))
+    assert changed.grid_scale == F(1, 2) and changed != config
     assert config == SearchConfig()
+    assert replace(CoordDecay(Vec.fin([0]), Vec.fin([1])), q=2) == CoordDecay(
+        Vec.fin([0]), Vec.fin([1]), F(2))
     assert replace(Dilate(TailZero(), 2), factor=3).factor == F(3)
     with pytest.raises(ValueError):
         replace(Dilate(TailZero(), 2), factor=0)

@@ -50,12 +50,13 @@ def test_example_e1_is_deterministic():
     assert verify_example_e1() == verify_example_e1()
 
 
-def test_example_e1_stable_under_grid_enlargement():
-    from ordertopo.topology import SearchConfig
+def test_example_e1_stable_under_grid_enlargement(monkeypatch):
+    import ordertopo.topology as topology
 
-    big = SearchConfig(max_candidates=900,
-                       gen_scales=(F(1, 2), F(1), F(2), F(3)))
-    assert verify_example_e1(config=big) == verify_example_e1()
+    want = verify_example_e1()
+    monkeypatch.setattr(topology, "MAX_CANDIDATES", 900)
+    monkeypatch.setattr(topology, "GEN_SCALES", (F(1, 2), F(1), F(2), F(3)))
+    assert verify_example_e1() == want
 
 
 def test_example_e1_inconclusive_under_strict_uniform():
@@ -123,8 +124,7 @@ def test_interval_fit_probe_small_catalog():
         quadrant(),
         Translate(quadrant(), Vec.fin([-1, -1])),
     ]
-    report = verify_interval_fit_probe(catalog, samples_per_set=8,
-                                       min_grid_samples=200)
+    report = verify_interval_fit_probe(catalog, samples_per_set=8)
     assert report.conclusion == CONFIRMED
 
 

@@ -23,11 +23,9 @@ from ordertopo.ordersets import (
     member,
     open_interval,
 )
-from ordertopo.records import replace
+import ordertopo.topology as topology
 from ordertopo.topology import (
-    DEFAULT_CONFIG,
     NeighborhoodCatalog,
-    SearchConfig,
     _chain_probes,
     check_order_closed,
     check_quasi_order_closed,
@@ -206,21 +204,21 @@ def test_solid_certified_quasi_closed_is_order_closed():
         assert check_order_closed(s).status != "refuted"
 
 
-def test_verdicts_stable_under_grid_enlargement():
-    small = SearchConfig(max_candidates=120)
-    big = SearchConfig(max_candidates=600, gen_scales=(F(1, 2), F(1), F(2), F(3)))
+def test_verdicts_stable_under_grid_enlargement(monkeypatch):
     cases = [
         IntervalSet(closed_interval(Vec.fin([0, 0]), Vec.fin([1, 1]))),
         Complement(IntervalSet(open_interval(-e1(), e1()))),
         TailZero(),
     ]
-    for s in cases:
-        v1 = check_quasi_order_closed(s, small)
-        v2 = check_quasi_order_closed(s, big)
-        assert v1.status == v2.status
+    monkeypatch.setattr(topology, "MAX_CANDIDATES", 120)
+    small = [check_quasi_order_closed(s).status for s in cases]
+    monkeypatch.setattr(topology, "MAX_CANDIDATES", 600)
+    monkeypatch.setattr(topology, "GEN_SCALES", (F(1, 2), F(1), F(2), F(3)))
+    big = [check_quasi_order_closed(s).status for s in cases]
+    assert small == big
 
 
-def test_search_deterministic_across_workers():
+def test_search_is_deterministic():
     s = Complement(IntervalSet(open_interval(-e1(), e1())))
     first = check_quasi_order_closed(s)
     second = check_quasi_order_closed(s)
@@ -236,16 +234,17 @@ def open_box_complement(carrier):
     (findim(3), 28, 28),
     (TAIL_SEQ, 600, 32),
 ])
-def test_unknown_search_report_counts_chain_probes(carrier, max_candidates, count):
+def test_unknown_search_report_counts_chain_probes(carrier, max_candidates, count,
+                                                   monkeypatch):
+    monkeypatch.setattr(topology, "MAX_CANDIDATES", max_candidates)
     s = open_box_complement(carrier)
-    config = replace(DEFAULT_CONFIG, max_candidates=max_candidates)
-    got = check_order_closed(s, config)
+    got = check_order_closed(s)
     assert got.status == "unknown"
     assert got.search_report.candidates == count
     assert got.search_report.grids == (
         f"templates={count} lambdas=['1/2', '1/3'] gen_scales=['1/2', '1', '2'] scale=1")
     # the count includes the chain probes
-    assert len(_chain_probes(normalize_expr(s), carrier, config)) == config.max_chains
+    assert len(_chain_probes(normalize_expr(s), carrier)) == topology.MAX_CHAINS
 
 
 def test_chain_probes_end_inside_the_set():
@@ -257,7 +256,7 @@ def test_chain_probes_end_inside_the_set():
         (Complement(IntervalSet(open_interval(-e1(), e1()))), TAIL_SEQ),
     ]
     for s, carrier in cases:
-        chains = _chain_probes(normalize_expr(s), carrier, DEFAULT_CONFIG)
+        chains = _chain_probes(normalize_expr(s), carrier)
         assert chains
         for fam in chains:
             assert member(s, form_limit(form_of(fam)))
