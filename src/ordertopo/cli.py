@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .documents import DocumentError, parse_document, run_document
+from .documents import DocumentError, parse_document, parse_grid_scale, run_document
 from .ordersets import Semantics
-from .rationals import parse_rat
 from .records import replace
 
 COMMANDS = {
@@ -76,16 +75,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _apply_overrides(doc, args):
     if args.semantics:
         doc = replace(doc, semantics=Semantics(args.semantics))
-    config = doc.config
     if args.grid_scale is not None:
-        try:
-            scale = parse_rat(args.grid_scale)
-        except (ValueError, TypeError) as err:
-            raise DocumentError("--grid-scale", f"not a rational: {err}")
-        if scale <= 0:
-            raise DocumentError("--grid-scale", "must be positive")
-        config = replace(config, grid_scale=scale)
-    return replace(doc, config=config)
+        scale = parse_grid_scale(args.grid_scale, "--grid-scale")
+        doc = replace(doc, config=replace(doc.config, grid_scale=scale))
+    return doc
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,6 +7,7 @@ into a silently different problem.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .carriers import Carrier, Vec
@@ -146,16 +147,21 @@ def _parse_search(obj: Any, path: str) -> SearchConfig:
     if obj is None:
         return DEFAULT_CONFIG
     _expect_keys(obj, path, set(), {"grid-scale"})
-    config = DEFAULT_CONFIG
-    if "grid-scale" in obj:
-        try:
-            scale = rat_from_json(obj["grid-scale"])
-        except ValueError as err:
-            raise DocumentError(f"{path}.grid-scale", str(err)) from err
-        if scale <= 0:
-            raise DocumentError(f"{path}.grid-scale", "must be positive")
-        config = replace(config, grid_scale=scale)
-    return config
+    if "grid-scale" not in obj:
+        return DEFAULT_CONFIG
+    scale = parse_grid_scale(obj["grid-scale"], f"{path}.grid-scale")
+    return replace(DEFAULT_CONFIG, grid_scale=scale)
+
+
+def parse_grid_scale(raw: Any, path: str) -> Fraction:
+    """The search-grid scale, a positive rational; errors point at ``path``."""
+    try:
+        scale = rat_from_json(raw)
+    except ValueError as err:
+        raise DocumentError(path, str(err)) from err
+    if scale <= 0:
+        raise DocumentError(path, "must be positive")
+    return scale
 
 
 def run_document(doc: ProblemDoc) -> RunResult:

@@ -187,7 +187,11 @@ def index_base(F: Family) -> int:
 
 
 def value(F: Family, k: int) -> Vec:
-    """Exact value at index k >= 0 (below the index base: the first value)."""
+    """Exact value at index k >= 0.
+
+    Below its index base a running sup gives its first value; a shift
+    gives its formula, so ``value(Shift(), 0)`` is (; 1).
+    """
     if k < 0:
         raise ValueError("indices are nonnegative")
     if isinstance(F, Explicit):
@@ -501,8 +505,8 @@ class EventualVerdict:
     witness_index points at the first failure.
     """
 
-    status: str  # "holds-from" | "fails-from" | "unknown"
-    index: Optional[int]
+    status: str  # "holds-from" | "fails-from"
+    index: int
     witness_index: Optional[int] = None
     settled_at: int = 0
 
@@ -511,10 +515,7 @@ def eventually_in(F: Family, expr: SetExpr) -> EventualVerdict:
     """Decide eventual membership of the family in a grammar set."""
     form = form_of(F)
     k0 = index_base(F)
-    try:
-        ok, settled = _eventual_member(form, expr)
-    except _NoTailRule:
-        return EventualVerdict("unknown", None)
+    ok, settled = _eventual_member(form, expr)
     settled = max(settled, form.start, k0)
     if ok:
         n = settled
@@ -525,10 +526,6 @@ def eventually_in(F: Family, expr: SetExpr) -> EventualVerdict:
                     if not member(expr, v)), settled)
     return EventualVerdict("fails-from", settled, witness_index=witness,
                            settled_at=settled)
-
-
-class _NoTailRule(Exception):
-    pass
 
 
 def _eventual_member(form: Form, expr: SetExpr) -> tuple[bool, int]:
@@ -582,7 +579,7 @@ def _eventual_member(form: Form, expr: SetExpr) -> tuple[bool, int]:
         return _eventual_member(affine_form(form, Fraction(1), -expr.by), expr.inner)
     if isinstance(expr, Dilate):
         return _eventual_member(affine_form(form, 1 / expr.factor), expr.inner)
-    raise _NoTailRule(f"no tail rule for {type(expr).__name__}")
+    raise TypeError(f"not a set expression: {expr!r}")
 
 
 def _support_conditions(form: Form, gens: Sequence[Vec]) -> list[tuple[bool, int]]:

@@ -12,7 +12,7 @@ import functools
 import itertools
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .carriers import (
     TAIL_SEQ,
@@ -29,6 +29,8 @@ from .carriers import (
 )
 from .rationals import rat
 from .records import record
+
+T = TypeVar("T")
 
 
 class Semantics(Enum):
@@ -417,19 +419,20 @@ def _solid_rules(expr: SetExpr) -> Optional[list[str]]:
                 return ["symmetric-open-interval-uniform"]
         return None
     if isinstance(expr, Union):
-        return _all_parts_solid(expr.parts, "union-of-solid")
+        return _all_parts(expr.parts, _solid_rules, ["union-of-solid"])
     if isinstance(expr, Intersection):
-        return _all_parts_solid(expr.parts, "intersection-of-solid")
+        return _all_parts(expr.parts, _solid_rules, ["intersection-of-solid"])
     if isinstance(expr, Dilate):
         sub = _solid_rules(expr.inner)
         return ["dilate-of-solid"] + sub if sub is not None else None
     return None
 
 
-def _all_parts_solid(parts: Sequence[SetExpr], rule: str) -> Optional[list[str]]:
-    trace = [rule]
+def _all_parts(parts: Sequence[SetExpr], rules: Callable[[SetExpr], Optional[list[str]]],
+               trace: list[str]) -> Optional[list[str]]:
+    """``trace`` followed by every part's rule trace; None if a part has none."""
     for p in parts:
-        sub = _solid_rules(p)
+        sub = rules(p)
         if sub is None:
             return None
         trace.extend(sub)
@@ -462,10 +465,11 @@ def grid_vectors(carrier: Carrier) -> tuple[Vec, ...]:
     return tuple(_dedup(itertools.islice(vecs, GRID_LIMIT)))
 
 
-def _dedup(vecs: Iterable[Vec]) -> list[Vec]:
+def _dedup(items: Iterable[T]) -> list[T]:
+    """The items in first-seen order, each once."""
     seen = set()
     out = []
-    for v in vecs:
+    for v in items:
         if v not in seen:
             seen.add(v)
             out.append(v)

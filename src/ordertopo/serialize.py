@@ -55,6 +55,12 @@ from .topology import (
 # -- scalars and vectors -----------------------------------------------------------
 
 
+def _reject_unknown(obj: dict, allowed: set[str], what: str) -> None:
+    extra = set(obj) - allowed
+    if extra:
+        raise ValueError(f"unknown {what} fields: {sorted(extra)}")
+
+
 def rat_to_json(x: Fraction) -> str:
     return format_rat(x)
 
@@ -76,17 +82,13 @@ def carrier_from_json(obj: Any) -> Carrier:
         raise ValueError("carrier must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "findim":
-        extra = set(obj) - {"kind", "dim"}
-        if extra:
-            raise ValueError(f"unknown carrier fields: {sorted(extra)}")
+        _reject_unknown(obj, {"kind", "dim"}, "carrier")
         dim = obj.get("dim")
         if not isinstance(dim, int) or dim < 1:
             raise ValueError("findim carrier needs a positive integer 'dim'")
         return findim(dim)
     if kind == "tailseq":
-        extra = set(obj) - {"kind"}
-        if extra:
-            raise ValueError(f"unknown carrier fields: {sorted(extra)}")
+        _reject_unknown(obj, {"kind"}, "carrier")
         return TAIL_SEQ
     raise ValueError(f"unknown carrier kind {kind!r}")
 
@@ -108,9 +110,7 @@ def vec_from_json(obj: Any, carrier: Carrier) -> Vec:
         return Vec(carrier, coords)
     if not isinstance(obj, dict):
         raise ValueError("tail-sequence vector must be an object")
-    extra = set(obj) - {"prefix", "tail"}
-    if extra:
-        raise ValueError(f"unknown vector fields: {sorted(extra)}")
+    _reject_unknown(obj, {"prefix", "tail"}, "vector")
     prefix = obj.get("prefix", [])
     if not isinstance(prefix, list):
         raise ValueError("'prefix' must be an array")
@@ -134,9 +134,7 @@ def interval_to_json(iv: Interval) -> dict:
 def interval_from_json(obj: Any, carrier: Carrier, semantics: Semantics) -> Interval:
     if not isinstance(obj, dict):
         raise ValueError("interval must be an object")
-    extra = set(obj) - {"lo", "hi", "kind"}
-    if extra:
-        raise ValueError(f"unknown interval fields: {sorted(extra)}")
+    _reject_unknown(obj, {"lo", "hi", "kind"}, "interval")
     if "lo" not in obj or "hi" not in obj:
         raise ValueError("interval needs 'lo' and 'hi'")
     kind = obj.get("kind", "closed")
@@ -148,12 +146,6 @@ def interval_from_json(obj: Any, carrier: Carrier, semantics: Semantics) -> Inte
         IntervalKind(kind),
         semantics,
     )
-
-
-_EXPR_KEYS = {
-    "interval", "ideal", "band", "solid-hull", "half-space", "tail-zero",
-    "complement", "union", "intersection", "translate", "dilate",
-}
 
 
 def setexpr_to_json(expr: SetExpr) -> dict:
@@ -189,8 +181,6 @@ def setexpr_from_json(obj: Any, carrier: Carrier, semantics: Semantics) -> SetEx
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError("set expression must be a single-key object")
     key, body = next(iter(obj.items()))
-    if key not in _EXPR_KEYS:
-        raise ValueError(f"unknown set constructor {key!r}")
     if key == "interval":
         return IntervalSet(interval_from_json(body, carrier, semantics))
     if key in ("ideal", "band", "solid-hull"):
@@ -202,9 +192,7 @@ def setexpr_from_json(obj: Any, carrier: Carrier, semantics: Semantics) -> SetEx
     if key == "half-space":
         if not isinstance(body, dict):
             raise ValueError("'half-space' needs an object body")
-        extra = set(body) - {"coord", "relation", "bound"}
-        if extra:
-            raise ValueError(f"unknown half-space fields: {sorted(extra)}")
+        _reject_unknown(body, {"coord", "relation", "bound"}, "half-space")
         coord = body.get("coord")
         if coord != "tail" and (isinstance(coord, bool) or not isinstance(coord, int)
                                 or coord < 1):
@@ -235,10 +223,12 @@ def setexpr_from_json(obj: Any, carrier: Carrier, semantics: Semantics) -> SetEx
             raise ValueError("'translate' needs 'set' and 'by'")
         return Translate(setexpr_from_json(body["set"], carrier, semantics),
                          vec_from_json(body["by"], carrier))
-    if not isinstance(body, dict) or set(body) != {"set", "factor"}:
-        raise ValueError("'dilate' needs 'set' and 'factor'")
-    return Dilate(setexpr_from_json(body["set"], carrier, semantics),
-                  rat_from_json(body["factor"]))
+    if key == "dilate":
+        if not isinstance(body, dict) or set(body) != {"set", "factor"}:
+            raise ValueError("'dilate' needs 'set' and 'factor'")
+        return Dilate(setexpr_from_json(body["set"], carrier, semantics),
+                      rat_from_json(body["factor"]))
+    raise ValueError(f"unknown set constructor {key!r}")
 
 
 # -- families ---------------------------------------------------------------------------
@@ -266,41 +256,31 @@ def family_from_json(obj: Any, carrier: Carrier) -> Family:
         raise ValueError("family must be an object with a 'template'")
     template = obj["template"]
     if template == "explicit":
-        extra = set(obj) - {"template", "values"}
-        if extra:
-            raise ValueError(f"unknown family fields: {sorted(extra)}")
+        _reject_unknown(obj, {"template", "values"}, "family")
         values = obj.get("values")
         if not isinstance(values, list) or not values:
             raise ValueError("'explicit' needs a nonempty 'values' array")
         return Explicit(tuple(vec_from_json(v, carrier) for v in values))
     if template == "shift":
-        extra = set(obj) - {"template", "head", "tail"}
-        if extra:
-            raise ValueError(f"unknown family fields: {sorted(extra)}")
+        _reject_unknown(obj, {"template", "head", "tail"}, "family")
         if carrier.kind != "tailseq":
             raise ValueError("'shift' needs the tailseq carrier")
         return Shift(rat_from_json(obj.get("head", "0")),
                      rat_from_json(obj.get("tail", "1")))
     if template == "scale":
-        extra = set(obj) - {"template", "v", "lam"}
-        if extra:
-            raise ValueError(f"unknown family fields: {sorted(extra)}")
+        _reject_unknown(obj, {"template", "v", "lam"}, "family")
         if "v" not in obj or "lam" not in obj:
             raise ValueError("'scale' needs 'v' and 'lam'")
         return Scale(vec_from_json(obj["v"], carrier), rat_from_json(obj["lam"]))
     if template == "coord-decay":
-        extra = set(obj) - {"template", "c", "p", "q"}
-        if extra:
-            raise ValueError(f"unknown family fields: {sorted(extra)}")
+        _reject_unknown(obj, {"template", "c", "p", "q"}, "family")
         if "c" not in obj or "p" not in obj:
             raise ValueError("'coord-decay' needs 'c' and 'p'")
         return CoordDecay(vec_from_json(obj["c"], carrier),
                           vec_from_json(obj["p"], carrier),
                           rat_from_json(obj.get("q", "0")))
     if template == "running-sup-meet":
-        extra = set(obj) - {"template", "base", "cap"}
-        if extra:
-            raise ValueError(f"unknown family fields: {sorted(extra)}")
+        _reject_unknown(obj, {"template", "base", "cap"}, "family")
         if "base" not in obj or "cap" not in obj:
             raise ValueError("'running-sup-meet' needs 'base' and 'cap'")
         return RunningSupMeet(family_from_json(obj["base"], carrier),

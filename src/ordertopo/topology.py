@@ -25,11 +25,12 @@ from .carriers import (
     TAIL_SEQ,
     Carrier,
     Vec,
-    aligned,
+    inf,
     leq,
     ones,
     scale,
     strictly_everywhere_below,
+    sup,
     unit,
     zero,
 )
@@ -66,6 +67,7 @@ from .ordersets import (
     TailZero,
     Translate,
     Union,
+    _all_parts,
     _dedup,
     _lazy_map,
     carrier_of,
@@ -74,7 +76,6 @@ from .ordersets import (
     interval_contains,
     member,
     open_interval,
-    support_horizon,
 )
 from .rationals import rat
 from .records import record
@@ -231,23 +232,14 @@ def _certify_closed(expr: SetExpr) -> Optional[list[str]]:
         return ["solid-hull-is-a-finite-union-of-closed-intervals"]
     if isinstance(expr, Intersection):
         trace = ["finite-intersection"] if expr.parts else ["full-space"]
-        return _certify_parts(expr.parts, trace)
+        return _all_parts(expr.parts, _certify_closed, trace)
     if isinstance(expr, Union):
         trace = ["finite-union"] if expr.parts else ["empty-set"]
-        return _certify_parts(expr.parts, trace)
+        return _all_parts(expr.parts, _certify_closed, trace)
     if isinstance(expr, Translate):
         sub = _certify_closed(expr.inner)
         return ["translate-image"] + sub if sub is not None else None
     return None
-
-
-def _certify_parts(parts: Sequence[SetExpr], trace: list[str]) -> Optional[list[str]]:
-    for p in parts:
-        sub = _certify_closed(p)
-        if sub is None:
-            return None
-        trace.extend(sub)
-    return trace
 
 
 def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
@@ -284,13 +276,7 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
             v = scale(s * gs, ag)
             for lam in LAMBDAS:
                 out.append(Scale(v, lam))
-    deduped: list[Family] = []
-    seen: set = set()
-    for f in out:
-        if f not in seen:
-            seen.add(f)
-            deduped.append(f)
-    return deduped[:MAX_CANDIDATES]
+    return _dedup(out)[:MAX_CANDIDATES]
 
 
 def _chain_probes(expr: SetExpr, carrier: Carrier) -> list[Family]:
@@ -536,10 +522,7 @@ def interval_fit(c: Vec, expr: SetExpr, budget: int = 16,
 def _interval_contained(iv: Interval, expr: SetExpr) -> Optional[bool]:
     """Exact containment of the open interval in the set; None if undecided."""
     a, b = iv.lo, iv.hi
-    single = a.carrier.kind == "findim" and a.carrier.dim == 1
     if isinstance(expr, Intersection):
-        if not expr.parts:
-            return True
         results = [_interval_contained(iv, p) for p in expr.parts]
         if any(r is False for r in results):
             return False
@@ -556,9 +539,7 @@ def _interval_contained(iv: Interval, expr: SetExpr) -> Optional[bool]:
         return None
     if isinstance(expr, IntervalSet):
         target = expr.interval
-        if target.kind is IntervalKind.CLOSED:
-            return leq(target.lo, a) and leq(b, target.hi)
-        if target.semantics is Semantics.STRICT_PARTIAL:
+        if target.kind is IntervalKind.CLOSED or target.semantics is Semantics.STRICT_PARTIAL:
             return leq(target.lo, a) and leq(b, target.hi)
         if strictly_everywhere_below(target.lo, a) and strictly_everywhere_below(b, target.hi):
             return True
@@ -571,22 +552,18 @@ def _interval_contained(iv: Interval, expr: SetExpr) -> Optional[bool]:
         inner = expr.inner
         if isinstance(inner, HalfSpace):
             # the complement is a strict half-space
+            single = a.carrier.kind == "findim" and a.carrier.dim == 1
             if inner.relation == "le":  # need z > bound throughout
                 edge = a.at(inner.coord)
                 return edge > inner.bound or (single and edge == inner.bound)
             edge = b.at(inner.coord)
             return edge < inner.bound or (single and edge == inner.bound)
         if isinstance(inner, IntervalSet) and inner.interval.kind is IntervalKind.CLOSED:
-            # disjoint boxes are enough; anything subtler goes to sampling
-            lo, hi = inner.interval.lo, inner.interval.hi
-            if _boxes_disjoint(a, b, lo, hi):
-                return True
-            return None
+            return not _meets_box(iv, inner.interval.lo, inner.interval.hi)
         return None
-    if isinstance(expr, (Ideal, Band)):
-        return _contained_in_support(a, b, expr.gens)
-    if isinstance(expr, TailZero):
-        return a.tail == 0 and b.tail == 0
+    if isinstance(expr, (Ideal, Band, TailZero)):
+        # a solid subspace holds the interval exactly when it holds both ends
+        return member(expr, a) and member(expr, b)
     if isinstance(expr, SolidHull):
         for g in expr.gens:
             ag = abs(g)
@@ -599,29 +576,20 @@ def _interval_contained(iv: Interval, expr: SetExpr) -> Optional[bool]:
     return None
 
 
-def _boxes_disjoint(a: Vec, b: Vec, lo: Vec, hi: Vec) -> bool:
-    bs, los = aligned(b, lo)
-    if any(bv < lv for bv, lv in zip(bs, los)):
-        return True
-    as_, his = aligned(a, hi)
-    if any(av > hv for av, hv in zip(as_, his)):
-        return True
-    if a.carrier.kind == "tailseq":
-        if b.tail < lo.tail or a.tail > hi.tail:
-            return True
-    return False
+def _meets_box(iv: Interval, lo: Vec, hi: Vec) -> bool:
+    """Whether the open interval shares a point with the closed box [lo, hi].
 
-
-def _contained_in_support(a: Vec, b: Vec, gens: tuple[Vec, ...]) -> bool:
-    width = support_horizon(list(gens) + [a, b])
-    for p in range(1, width + 1):
-        if all(g.coord(p) == 0 for g in gens):
-            if a.coord(p) != 0 or b.coord(p) != 0:
-                return False
-    if a.carrier.kind == "tailseq" and all(g.tail == 0 for g in gens):
-        if a.tail != 0 or b.tail != 0:
-            return False
-    return True
+    Strict-partial: the common part is the box [sup(a, lo), inf(b, hi)]
+    without the ends a and b.  A box of two or more points holds a whole
+    segment, so the part is empty exactly when the box is empty or is the
+    single point a or b.  Strict-uniform: coordinates are independent, and
+    (a_i, b_i) meets [lo_i, hi_i] exactly when a_i < hi_i and lo_i < b_i.
+    """
+    a, b = iv.lo, iv.hi
+    if iv.semantics is Semantics.STRICT_UNIFORM:
+        return strictly_everywhere_below(a, hi) and strictly_everywhere_below(lo, b)
+    p, q = sup(a, lo), inf(b, hi)
+    return leq(p, q) and not (p == q and p in (a, b))
 
 
 def _contained_by_sampling(iv: Interval, expr: SetExpr,

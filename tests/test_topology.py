@@ -20,6 +20,7 @@ from ordertopo.ordersets import (
     Union,
     check_solid,
     closed_interval,
+    interval_contains,
     member,
     open_interval,
 )
@@ -412,6 +413,30 @@ def test_interval_fit_rejects_outside_point():
 def test_interval_fit_rejects_refuted_open_set():
     with pytest.raises(ValueError):
         interval_fit(zero(TAIL_SEQ), IntervalSet(open_interval(-e1(), e1())))
+
+
+def test_interval_fit_avoids_a_thin_box():
+    # the sampling lattice of (-1, 1)^2 steps over the strip 1/1000 <= y <= 1/500
+    box = closed_interval(Vec.fin([-5, F(1, 1000)]), Vec.fin([5, F(1, 500)]))
+    got = interval_fit(Vec.fin([0, 0]), Complement(IntervalSet(box)))
+    assert got is not None and got.evidence == "exact"
+    assert not interval_contains(got.interval, Vec.fin([0, F(3, 2000)]))
+
+
+def test_interval_fit_avoids_a_flat_box():
+    # the box is flat in coordinate 2, which no lattice point of (-1, 1) hits
+    box = closed_interval(Vec.fin([0, 0, 0, 0]), Vec.fin([1, 0, 1, 1]))
+    c = Vec.fin([F(1, 2), 0, F(1, 2), F(3, 2)])
+    got = interval_fit(c, Complement(IntervalSet(box)))
+    assert got is not None and (got.steps, got.evidence) == (2, "exact")
+    assert not interval_contains(got.interval, Vec.fin([F(1, 2), 0, F(1, 2), 1]))
+
+
+def test_interval_fit_touching_a_box_is_exact():
+    # (1, 3) touches [0, 1] only at its own excluded end
+    box = closed_interval(Vec.fin([0]), Vec.fin([1]))
+    got = interval_fit(Vec.fin([2]), Complement(IntervalSet(box)))
+    assert (got.steps, got.evidence, got.samples) == (0, "exact", 0)
 
 
 def test_interval_fit_sampling_path():
