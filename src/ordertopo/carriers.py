@@ -14,6 +14,7 @@ ends with an entry equal to the tail.  All operations are exact.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -117,17 +118,16 @@ class Vec:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Vec") -> "Vec":
-        return _zip_with(self, other, lambda a, b: a + b)
+        return _zip_with(self, other, operator.add)
 
     def __sub__(self, other: "Vec") -> "Vec":
-        return _zip_with(self, other, lambda a, b: a - b)
+        return _zip_with(self, other, operator.sub)
 
     def __neg__(self) -> "Vec":
-        return self.map(lambda a: -a)
+        return self.map(operator.neg)
 
     def __mul__(self, t) -> "Vec":
-        t = rat(t)
-        return self.map(lambda a: a * t)
+        return self.map(rat(t).__mul__)
 
     __rmul__ = __mul__
 
@@ -135,9 +135,9 @@ class Vec:
         return self.map(abs)
 
     def map(self, fn) -> "Vec":
-        if self.carrier.kind == "findim":
-            return Vec(self.carrier, tuple(fn(c) for c in self.coords))
-        return Vec(self.carrier, tuple(fn(c) for c in self.coords), fn(self.tail))
+        if self.tail is None:
+            return Vec(self.carrier, tuple(map(fn, self.coords)))
+        return Vec(self.carrier, tuple(map(fn, self.coords)), fn(self.tail))
 
 
 def _require_same_carrier(x: Vec, y: Vec) -> None:
@@ -147,8 +147,9 @@ def _require_same_carrier(x: Vec, y: Vec) -> None:
 
 def aligned(x: Vec, y: Vec) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Coordinate lists of equal length (tailseq prefixes padded with tails)."""
-    _require_same_carrier(x, y)
-    if x.carrier.kind == "findim":
+    if x.carrier is not y.carrier:
+        _require_same_carrier(x, y)
+    if x.tail is None:
         return x.coords, y.coords
     n = max(len(x.coords), len(y.coords))
     xs = x.coords + (x.tail,) * (n - len(x.coords))
@@ -158,8 +159,8 @@ def aligned(x: Vec, y: Vec) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
 def _zip_with(x: Vec, y: Vec, fn) -> Vec:
     xs, ys = aligned(x, y)
-    coords = tuple(fn(a, b) for a, b in zip(xs, ys))
-    if x.carrier.kind == "findim":
+    coords = tuple(map(fn, xs, ys))
+    if x.tail is None:
         return Vec(x.carrier, coords)
     return Vec(x.carrier, coords, fn(x.tail, y.tail))
 
@@ -170,21 +171,31 @@ def _zip_with(x: Vec, y: Vec, fn) -> Vec:
 def leq(x: Vec, y: Vec) -> bool:
     """Coordinatewise order (tail position included for tailseq)."""
     xs, ys = aligned(x, y)
-    if any(a > b for a, b in zip(xs, ys)):
-        return False
-    if x.carrier.kind == "tailseq" and x.tail > y.tail:  # type: ignore[operator]
-        return False
-    return True
+    return all(map(operator.le, xs, ys)) and (x.tail is None or x.tail <= y.tail)
 
 
 def strictly_everywhere_below(x: Vec, y: Vec) -> bool:
     """x < y in every coordinate, tail included."""
     xs, ys = aligned(x, y)
-    if any(a >= b for a, b in zip(xs, ys)):
-        return False
-    if x.carrier.kind == "tailseq" and x.tail >= y.tail:  # type: ignore[operator]
-        return False
-    return True
+    return all(map(operator.lt, xs, ys)) and (x.tail is None or x.tail < y.tail)
+
+
+def within(v: Vec, c: Vec, r: Vec) -> bool:
+    """|v - c| <= r coordinatewise; on findim no vector is built."""
+    if v.tail is not None:
+        return leq(abs(v - c), r)
+    vs, cs = aligned(v, c)
+    _, rs = aligned(v, r)
+    return all(map(operator.le, map(abs, map(operator.sub, vs, cs)), rs))
+
+
+def add_scaled(c: Vec, t: Fraction, p: Vec) -> Vec:
+    """c + t*p in one pass; where p is zero, c's coordinate is kept as is."""
+    cs, ps = aligned(c, p)
+    coords = tuple(a + t * b if b else a for a, b in zip(cs, ps))
+    if c.tail is None:
+        return Vec(c.carrier, coords)
+    return Vec(c.carrier, coords, c.tail + t * p.tail if p.tail else c.tail)
 
 
 def sup(x: Vec, y: Vec) -> Vec:

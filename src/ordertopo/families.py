@@ -22,10 +22,12 @@ from .carriers import (
     CarrierMismatch,
     CoordLabel,
     Vec,
+    add_scaled,
     aligned,
     inf,
     leq,
     sup,
+    within,
     zero,
 )
 from .eventual import (
@@ -201,7 +203,7 @@ def value(F: Family, k: int) -> Vec:
     if isinstance(F, Scale):
         return F.v * F.lam ** k
     if isinstance(F, CoordDecay):
-        return F.c + F.p * (Fraction(1) / (k + 1 + F.q))
+        return add_scaled(F.c, Fraction(1) / (k + 1 + F.q), F.p)
     base = index_base(F)
     return _walk(F).capped(max(k, base) - base)
 
@@ -482,7 +484,7 @@ def validate_certificate(F: Family, cert: Certificate) -> bool:
         if not ok:
             return False
         hi = max(settled, k0 + CERTIFICATE_HORIZON)
-        return all(leq(abs(v - cert.limit), d)
+        return all(within(v, cert.limit, d)
                    for v, d in zip(values_iter(F, hi, k0), values_iter(dom, hi, k0)))
     for m, t in cert.threshold_map:
         radius = value(dom, m)

@@ -33,7 +33,10 @@ def parse_rat(text: str) -> Fraction:
     body = text.strip()
     if "/" in body:
         num, _, den = body.partition("/")
-        return Fraction(int(num), int(den))
+        q = int(den)
+        if q == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(int(num), q)
     return Fraction(int(body))
 
 

@@ -241,10 +241,17 @@ def _atom_oracle(x, max_den=2):
                 vals.add(F(n, d))
                 n += 1
         per_coord.append(sorted(vals))
-    candidates = [Vec(x.carrier, combo) for combo in itertools.product(*per_coord)]
-    nonzero = [u for u in candidates if not u.is_zero()]
-    for u in nonzero:
-        for v in nonzero:
+
+    def nonzero():
+        # lazy, so a non-atom stops at its first disjoint pair without
+        # building every candidate
+        for combo in itertools.product(*per_coord):
+            u = Vec(x.carrier, combo)
+            if not u.is_zero():
+                yield u
+
+    for u in nonzero():
+        for v in nonzero():
             if inf(u, v).is_zero():
                 return False
     return True

@@ -322,3 +322,27 @@ def test_bad_grid_scale_is_input_error(tmp_path, capsys, bad):
     code, text = run_cli(["check-set", path])
     assert code == 1 and text == ""
     assert "$.search.grid-scale" in capsys.readouterr().err
+
+
+def box_complement_fit_doc(hi):
+    return {
+        "carrier": {"kind": "findim", "dim": 1},
+        "task": {"fit": {
+            "set": {"complement": {"interval": {"lo": ["0"], "hi": hi, "kind": "closed"}}},
+            "point": ["-1"],
+        }},
+    }
+
+
+def test_zero_denominator_grid_scale_is_input_error(tmp_path, capsys):
+    path = write_doc(tmp_path, "doc.json", box_complement_fit_doc(["1"]))
+    code, text = run_cli(["fit", path, "--grid-scale", "1/0"])
+    assert code == 1 and text == ""
+    assert "error: --grid-scale: zero denominator" in capsys.readouterr().err
+
+
+def test_zero_denominator_in_a_document_is_input_error(tmp_path, capsys):
+    path = write_doc(tmp_path, "doc.json", box_complement_fit_doc(["1/0"]))
+    code, text = run_cli(["fit", path])
+    assert code == 1 and text == ""
+    assert "error: $.task.fit.set: zero denominator" in capsys.readouterr().err
