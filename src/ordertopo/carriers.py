@@ -18,7 +18,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .rationals import ZERO, rat
+from .rationals import ZERO, format_rat, rat
 from .records import record
 
 CoordLabel = Union[int, str]  # 1-based position, or "tail"
@@ -75,6 +75,13 @@ class Vec:
                 coords = coords[:-1]
             if coords is not self.coords:
                 object.__setattr__(self, "coords", coords)
+
+    def __str__(self) -> str:
+        """The text form: "(1, 1/2)" on findim, "(1; tail 0)" on tailseq."""
+        coords = ", ".join(map(format_rat, self.coords))
+        if self.tail is None:
+            return f"({coords})"
+        return f"({coords}{'; ' if coords else ''}tail {format_rat(self.tail)})"
 
     # -- construction helpers ------------------------------------------------
 

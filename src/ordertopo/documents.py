@@ -13,7 +13,6 @@ from typing import Any, Callable, Optional
 from .carriers import Carrier, Vec
 from .families import Certificate, order_converges, validate_certificate
 from .ordersets import Semantics, SetExpr, check_solid
-from .rationals import format_rat
 from .records import record, replace
 from .serialize import (
     carrier_from_json,
@@ -202,8 +201,8 @@ def _run_check_set(doc: ProblemDoc) -> RunResult:
             lines.append("rules: " + ", ".join(verdict.rule_trace))
         elif verdict.status == "refuted":
             x, y = verdict.witness
-            lines.append(f"witness inside: {_vts(x)}")
-            lines.append(f"dominated outside: {_vts(y)}")
+            lines.append(f"witness inside: {x}")
+            lines.append(f"dominated outside: {y}")
     elif mode in CHECK_MODES:
         verdict = CHECK_MODES[mode](expr, doc.config)
         body = verdict_to_json(verdict)
@@ -212,7 +211,7 @@ def _run_check_set(doc: ProblemDoc) -> RunResult:
             lines.append("rules: " + ", ".join(verdict.rule_trace))
         elif verdict.status == "refuted":
             w = verdict.witness
-            lines.append(f"witness: {w.mode} family, limit {_vts(w.limit)}, "
+            lines.append(f"witness: {w.mode} family, limit {w.limit}, "
                          f"in set from {w.in_set_from}, limit outside")
     else:
         raise DocumentError(f"{path}.mode", f"unknown mode {mode!r}")
@@ -248,7 +247,7 @@ def _run_convergence(doc: ProblemDoc) -> RunResult:
                      "levels and the perturbation intervals")
     else:
         lines.append("interval-topology probe: refuted by the interval "
-                     f"[{_vts(tau.refuted_by.lo)}, {_vts(tau.refuted_by.hi)}]")
+                     f"[{tau.refuted_by.lo}, {tau.refuted_by.hi}]")
     report = _report_envelope(doc, {
         "order_convergence": order_body,
         "interval_topology": tau_e_report_to_json(tau),
@@ -273,7 +272,7 @@ def _run_fit(doc: ProblemDoc) -> RunResult:
                      f"({fit.evidence}"
                      + (f", {fit.samples} samples" if fit.evidence == "sampled" else "")
                      + ")")
-        lines.append(f"interval: [{_vts(fit.interval.lo)}, {_vts(fit.interval.hi)}]")
+        lines.append(f"interval: [{fit.interval.lo}, {fit.interval.hi}]")
     report = _report_envelope(doc, {"fit": fit_to_json(fit)})
     return RunResult(0, "\n".join(lines) + "\n", report)
 
@@ -311,7 +310,12 @@ def _run_theorem(doc: ProblemDoc) -> RunResult:
         sets_raw = doc.payload["sets"]
         if not isinstance(sets_raw, list):
             raise DocumentError(f"{path}.sets", "expected an array")
-        exprs = [setexpr_from_json(s, doc.carrier, doc.semantics) for s in sets_raw]
+        exprs = []
+        for i, raw in enumerate(sets_raw):
+            try:
+                exprs.append(setexpr_from_json(raw, doc.carrier, doc.semantics))
+            except ValueError as err:
+                raise DocumentError(f"{path}.sets[{i}]", str(err)) from err
         samples = _get_int(doc.payload, "samples", path, default=50)
         try:
             report = verify_interval_fit_probe(exprs, samples, carrier=doc.carrier,
@@ -328,13 +332,6 @@ def _run_theorem(doc: ProblemDoc) -> RunResult:
     body = _report_envelope(doc, {"theorem": theorem_report_to_json(report)})
     exit_code = 3 if report.contradicts_expectations else 0
     return RunResult(exit_code, "\n".join(lines) + "\n", body)
-
-
-def _vts(v: Vec) -> str:
-    if v.carrier.kind == "findim":
-        return "(" + ", ".join(format_rat(c) for c in v.coords) + ")"
-    prefix = ", ".join(format_rat(c) for c in v.coords)
-    return f"({prefix}{'; ' if prefix else ''}tail {format_rat(v.tail)})"
 
 
 def _report_envelope(doc: ProblemDoc, body: dict) -> dict:

@@ -9,10 +9,10 @@ fraction of the cost of defining it:
   then calls ``__post_init__`` when the class defines one;
 * assigning or deleting an attribute raises ``FrozenInstanceError``;
   ``__post_init__`` normalizes a field with ``object.__setattr__``;
+* each field is stored once, in its slot;
 * ``==`` holds only between instances of the same class with equal fields;
-* the hash is the hash of the field tuple; the constructor stores that
-  tuple after ``__post_init__``, so ``==`` builds no tuple, and the hash is
-  stored on first use, so a record is hashed once;
+* the hash is the hash of the tuple of field values, stored on first use,
+  so a record is hashed once;
 * the repr is ``Name(field=value, ...)``, byte-identical to the dataclass
   one.
 
@@ -35,23 +35,9 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _eq(self, other):
-    if other.__class__ is self.__class__:
-        return self._values == other._values
-    return NotImplemented
-
-
-def _stored_hash(self):
-    h = self._hash
-    if h is None:
-        h = hash(self._values)
-        object.__setattr__(self, "_hash", h)
-    return h
-
-
 def _repr(self):
-    fields = zip(self.__match_args__, self._values)
-    return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+    return f"{self.__class__.__qualname__}({fields})"
 
 
 def record(cls):
@@ -62,34 +48,39 @@ def record(cls):
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
     ns["__qualname__"] = cls.__qualname__
-    if names:
-        ns["__slots__"] = names + ("_values", "_hash")
-    else:  # every instance has the same, empty field tuple
-        ns["__slots__"] = ()
-        ns["_values"] = ()
-        ns["_hash"] = hash(())
+    ns["__slots__"] = names + ("_hash",)
     ns["__match_args__"] = names
-    ns["__eq__"] = _eq
-    ns["__hash__"] = _stored_hash
     ns.setdefault("__repr__", _repr)
     ns["__setattr__"] = _frozen_setattr
     ns["__delattr__"] = _frozen_delattr
-    new = type(cls)(cls.__name__, cls.__bases__, ns)
 
-    # one small constructor: each slot is filled through its descriptor, and
-    # the field tuple is stored once __post_init__ has normalized the fields
+    # the constructor fills each slot through its descriptor; == and the
+    # hash read the slots, so no record keeps a second copy of its fields
     params = ["self"] + [f"{n}=_d_{n}" if f"_d_{n}" in scope else n for n in names]
+    init = [f"_set_{n}(self, {n})" for n in names] + ["_set__hash(self, None)"]
+    if hasattr(cls, "__post_init__"):
+        init.append("self.__post_init__()")
+    mine = "".join(f"self.{n}, " for n in names)
+    theirs = "".join(f"other.{n}, " for n in names)
+    exec(f"""
+def __init__({', '.join(params)}):
+    {'; '.join(init)}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+def __hash__(self):
+    h = self._hash
+    if h is None:
+        h = hash(({mine}))
+        _set__hash(self, h)
+    return h
+""", scope)
+    for fn in ("__init__", "__eq__", "__hash__"):
+        scope[fn].__qualname__ = f"{cls.__qualname__}.{fn}"
+        ns[fn] = scope[fn]
+    new = type(cls)(cls.__name__, cls.__bases__, ns)
     scope.update((f"_set_{name}", getattr(new, name).__set__) for name in new.__slots__)
-    body = [f"_set_{name}(self, {name})" for name in names]
-    if names:
-        body.append("_set__hash(self, None)")
-    if hasattr(new, "__post_init__"):
-        body.append("self.__post_init__()")
-    if names:
-        body.append(f"_set__values(self, ({''.join(f'self.{name}, ' for name in names)}))")
-    exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]), scope)
-    new.__init__ = scope["__init__"]
-    new.__init__.__qualname__ = f"{new.__qualname__}.__init__"
     return new
 
 

@@ -184,11 +184,10 @@ def verify_interval_convergence_theorem(F: Family, x: Vec,
     chain_only = chain if chain.is_chain() else NeighborhoodCatalog(x, chain.chain)
     chain_report = tau_e_convergence_report(F, x, chain_only)
     if not chain_report.consistent:
-        refuter = chain_report.refuted_by
         steps.append(TheoremStep(
             "hypothesis", "tau_e_convergence_report", "failed",
             "convergence refuted by the chain interval of width "
-            f"{refuter.width().coords if refuter else '?'}"))
+            f"{chain_report.refuted_by.width()}"))
         return TheoremReport(
             "interval-convergence", inputs, tuple(steps), INCONCLUSIVE,
             notes=("hypothesis unmet: the family does not converge over the "

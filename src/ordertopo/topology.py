@@ -656,7 +656,7 @@ def vector_topology_probe(expr: SetExpr, shifts: Sequence[Vec],
     entries: list[ProbeEntry] = []
     for a in shifts:
         got = is_order_open(Translate(expr, a), config)
-        entries.append(ProbeEntry("translate", str(a.coords), got.status))
+        entries.append(ProbeEntry("translate", str(a), got.status))
     for t in scalars:
         got = is_order_open(Dilate(expr, rat(t)), config)
         entries.append(ProbeEntry("dilate", str(rat(t)), got.status))

@@ -84,6 +84,12 @@ def test_equality_is_canonical():
     assert Vec.seq([2], 3) != Vec.seq([2], 4)
 
 
+def test_text_form():
+    assert str(Vec.fin([1, Fraction(-1, 2)])) == "(1, -1/2)"
+    assert str(Vec.seq([1, 2, 0], 0)) == "(1, 2; tail 0)"
+    assert f"{Vec.seq([], Fraction(1, 3))}" == "(tail 1/3)"
+
+
 def test_carrier_mismatch_raises():
     with pytest.raises(CarrierMismatch):
         leq(Vec.fin([1]), Vec.fin([1, 2]))

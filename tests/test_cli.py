@@ -220,6 +220,43 @@ def test_theorem_unknown_id(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("carrier, family, limit, width", [
+    ({"kind": "findim", "dim": 2},
+     {"template": "coord-decay", "c": ["0", "0"], "p": ["1", "1"]},
+     ["1/2", "0"], "(2/3, 2/3)"),
+    ({"kind": "tailseq"}, {"template": "shift"}, {"prefix": [], "tail": "0"},
+     "(tail 1)"),
+], ids=["findim", "tailseq"])
+def test_failed_hypothesis_writes_the_width_as_text(tmp_path, carrier, family,
+                                                    limit, width):
+    path = write_doc(tmp_path, "doc.json", {
+        "carrier": carrier,
+        "task": {"theorem": {"id": "interval-convergence", "family": family,
+                             "limit": limit, "depth": 3}},
+    })
+    out_path = tmp_path / "report.json"
+    code, text = run_cli(["theorems", path, "--output", str(out_path)])
+    assert code == 0
+    detail = f"convergence refuted by the chain interval of width {width}"
+    assert f"  step hypothesis: failed ({detail})\n" in text
+    report = json.loads(out_path.read_text())
+    assert report["theorem"]["steps"][0]["detail"] == detail
+
+
+def test_a_bad_tau_subset_set_is_reported_at_its_index(tmp_path, capsys):
+    path = write_doc(tmp_path, "doc.json", {
+        "carrier": {"kind": "findim", "dim": 2},
+        "task": {"theorem": {"id": "tau-subset", "sets": [
+            {"interval": {"lo": ["0", "0"], "hi": ["1", "1"], "kind": "open"}},
+            {"blob": 1},
+        ]}},
+    })
+    code, _ = run_cli(["theorems", path])
+    assert code == 1
+    assert ("error: $.task.theorem.sets[1]: unknown set constructor 'blob'"
+            in capsys.readouterr().err)
+
+
 def test_missing_document():
     code, _ = run_cli(["check-set", "/nonexistent/doc.json"])
     assert code == 1

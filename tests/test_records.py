@@ -4,6 +4,7 @@ The reprs below were recorded from the ``dataclasses`` implementation; a
 test pins form reprs by SHA-256, so they must stay byte-identical.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -160,3 +161,22 @@ def test_replace_changes_fields_and_reruns_post_init():
         replace(Dilate(TailZero(), 2), factor=0)
     with pytest.raises(TypeError):
         replace(config, no_such_field=1)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fields_are_stored_once(name):
+    r = CASES[name]()
+    assert r.__slots__ == r.__match_args__ + ("_hash",)
+    assert not hasattr(r, "_values")
+
+
+def test_a_findim_vector_takes_at_most_100_bytes():
+    carrier, coords = findim(3), (F(1), F(2), F(3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vectors = [Vec(carrier, coords) for _ in range(100_000)]
+        per_vector = (tracemalloc.get_traced_memory()[0] - before) / len(vectors)
+    finally:
+        tracemalloc.stop()
+    assert per_vector <= 100

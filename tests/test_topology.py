@@ -466,6 +466,7 @@ def test_vector_topology_probe_on_quadrant():
         scalars=[F(2), F(-1), F(1, 2)],
     )
     assert report.all_certified
+    assert [e.parameter for e in report.entries] == ["(-1, -1)", "(2, 0)", "2", "-1", "1/2"]
 
 
 def test_vector_topology_probe_full_space():
