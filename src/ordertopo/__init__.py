@@ -88,7 +88,6 @@ from .theorems import (
 from .topology import (
     ClosureWitness,
     FitResult,
-    NeighborhoodCatalog,
     SearchConfig,
     TauEReport,
     Verdict,

@@ -2,8 +2,9 @@
 
 One document per invocation, verdicts to stdout, optionally a JSON report
 file.  Exit codes: 0 for any computed verdict (refutations included), 1
-for input errors, 2 for internal errors, 3 when a theorem report
-contradicts its expected conclusion.
+for input errors and for a report file that cannot be written, 2 for
+internal errors, 3 when a theorem report contradicts its expected
+conclusion.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .documents import DocumentError, parse_document, parse_grid_scale, run_document
+from .documents import parse_document, parse_grid_scale, run_document
 from .ordersets import Semantics
 from .records import replace
 
@@ -45,21 +46,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = json.loads(Path(args.document).read_text())
+        raw = json.loads(Path(args.document).read_text(encoding="utf-8"))
     except FileNotFoundError:
         print(f"error: no such document: {args.document}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as err:
         print(f"error: document is not valid JSON: {err}", file=sys.stderr)
         return 1
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"error: cannot read document: {err}", file=sys.stderr)
+        return 1
     try:
         doc = parse_document(raw, expected_task=COMMANDS[args.command])
         doc = _apply_overrides(doc, args)
         result = run_document(doc)
-    except DocumentError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except ValueError as err:  # DocumentError included
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # pragma: no cover - defensive
@@ -68,7 +69,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sys.stdout.write(result.text)
     if args.output:
         payload = json.dumps(result.report, indent=2, sort_keys=True) + "\n"
-        Path(args.output).write_text(payload)
+        try:
+            Path(args.output).write_text(payload)
+        except OSError as err:
+            print(f"error: cannot write report: {err}", file=sys.stderr)
+            return 1
     return result.exit_code
 
 

@@ -43,7 +43,6 @@ from .topology import (
     interval_fit,
     is_order_open,
     neighborhood_catalog,
-    symmetric_chain,
     tau_e_convergence_report,
 )
 
@@ -240,8 +239,7 @@ def _run_convergence(doc: ProblemDoc) -> RunResult:
     else:
         order_body = {"status": "refuted", "refutation": refutation_to_json(got)}
         lines.append(f"order convergence: refuted at coordinate {got.coord}")
-    catalog = neighborhood_catalog(x, depth, doc.semantics)
-    tau = tau_e_convergence_report(family, x, catalog)
+    tau = tau_e_convergence_report(family, x, neighborhood_catalog(x, depth, doc.semantics))
     if tau.consistent:
         lines.append(f"interval-topology probe: consistent over {depth} chain "
                      "levels and the perturbation intervals")
@@ -296,8 +294,7 @@ def _run_theorem(doc: ProblemDoc) -> RunResult:
             raise DocumentError(f"{path}.family", str(err)) from err
         x = _parse_vec(doc, doc.payload, "limit", f"{path}.limit")
         depth = _get_int(doc.payload, "depth", path, default=10)
-        chain = symmetric_chain(x, depth, doc.semantics)
-        report = verify_interval_convergence_theorem(family, x, chain)
+        report = verify_interval_convergence_theorem(family, x, depth, doc.semantics)
     elif tid == "band-proposition":
         _expect_keys(doc.payload, path, {"id", "set"}, set())
         expr = _parse_expr(doc, doc.payload, "set", f"{path}.set")

@@ -503,13 +503,11 @@ class EventualVerdict:
     """Decided eventual membership.
 
     holds-from: member for every k >= index (least such index).
-    fails-from: outside for every k >= index (hence infinitely often);
-    witness_index points at the first failure.
+    fails-from: outside for every k >= index (hence infinitely often).
     """
 
     status: str  # "holds-from" | "fails-from"
     index: int
-    witness_index: Optional[int] = None
     settled_at: int = 0
 
 
@@ -524,10 +522,7 @@ def eventually_in(F: Family, expr: SetExpr) -> EventualVerdict:
         while n > k0 and member(expr, value(F, n - 1)):
             n -= 1
         return EventualVerdict("holds-from", n, settled_at=settled)
-    witness = next((k for k, v in enumerate(values_iter(F, settled), k0)
-                    if not member(expr, v)), settled)
-    return EventualVerdict("fails-from", settled, witness_index=witness,
-                           settled_at=settled)
+    return EventualVerdict("fails-from", settled, settled_at=settled)
 
 
 def _eventual_member(form: Form, expr: SetExpr) -> tuple[bool, int]:

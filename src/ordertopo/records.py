@@ -14,7 +14,9 @@ fraction of the cost of defining it:
 * the hash is the hash of the tuple of field values, stored on first use,
   so a record is hashed once;
 * the repr is ``Name(field=value, ...)``, byte-identical to the dataclass
-  one.
+  one;
+* ``copy``, ``deepcopy`` and ``pickle`` rebuild a record by calling the
+  class on its field values.
 
 ``__match_args__`` holds the field names; ``replace`` copies a record with
 some fields changed.
@@ -75,8 +77,10 @@ def __hash__(self):
         h = hash(({mine}))
         _set__hash(self, h)
     return h
+def __reduce__(self):
+    return (self.__class__, ({mine}))
 """, scope)
-    for fn in ("__init__", "__eq__", "__hash__"):
+    for fn in ("__init__", "__eq__", "__hash__", "__reduce__"):
         scope[fn].__qualname__ = f"{cls.__qualname__}.{fn}"
         ns[fn] = scope[fn]
     new = type(cls)(cls.__name__, cls.__bases__, ns)

@@ -47,7 +47,6 @@ from .ordersets import (
 from .records import record
 from .topology import (
     DEFAULT_CONFIG,
-    NeighborhoodCatalog,
     SearchConfig,
     check_order_closed,
     check_quasi_order_closed,
@@ -55,6 +54,7 @@ from .topology import (
     is_order_open,
     neighborhood_catalog,
     replay_witness,
+    symmetric_chain,
     tau_e_convergence_report,
 )
 
@@ -154,35 +154,23 @@ def verify_example_e1(semantics: Semantics = Semantics.STRICT_PARTIAL,
 # -- interval-topology convergence implies order convergence --------------------------
 
 
-def _chain_widths_canonical(chain: NeighborhoodCatalog) -> bool:
-    e = ones(chain.center.carrier)
-    for m, iv in enumerate(chain.chain, start=1):
-        if iv.width() != scale(Fraction(2, m), e):
-            return False
-    return True
-
-
-def verify_interval_convergence_theorem(F: Family, x: Vec,
-                                        chain: NeighborhoodCatalog) -> TheoremReport:
+def verify_interval_convergence_theorem(
+        F: Family, x: Vec, depth: int,
+        semantics: Semantics = Semantics.STRICT_PARTIAL) -> TheoremReport:
     """Check the implication: interval-topology convergence forces order
     convergence, via the width construction.
 
-    The dominating sequence is the chain of interval widths; each width
-    bounds |value(k) - x| from that interval's entry threshold on.  An
-    independent certificate from the template's own closed form must agree.
+    The hypothesis is probed over the symmetric chain of ``depth`` open
+    intervals around x, whose widths are 2e/m.  The dominating sequence is
+    the chain of widths; each width bounds |value(k) - x| from that
+    interval's entry threshold on.  An independent certificate from the
+    template's own closed form must agree.
     """
-    inputs = (("family", type(F).__name__), ("depth", str(len(chain.chain))))
-    if chain.center != x:
-        raise ValueError("chain center differs from the candidate limit")
-    if not chain.chain:
-        raise ValueError("chain is empty")
-    if not _chain_widths_canonical(chain):
-        raise ValueError("chain does not shrink canonically to zero")
+    inputs = (("family", type(F).__name__), ("depth", str(depth)))
     steps: list[TheoremStep] = []
     carrier = family_carrier(F)
 
-    chain_only = chain if chain.is_chain() else NeighborhoodCatalog(x, chain.chain)
-    chain_report = tau_e_convergence_report(F, x, chain_only)
+    chain_report = tau_e_convergence_report(F, x, symmetric_chain(x, depth, semantics))
     if not chain_report.consistent:
         steps.append(TheoremStep(
             "hypothesis", "tau_e_convergence_report", "failed",

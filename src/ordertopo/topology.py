@@ -37,7 +37,6 @@ from .carriers import (
 from .families import (
     Certificate,
     CoordDecay,
-    Explicit,
     Family,
     Scale,
     _direction_rule,
@@ -69,10 +68,8 @@ from .ordersets import (
     Union,
     _all_parts,
     _dedup,
-    _lazy_map,
     carrier_of,
     collect_vectors,
-    grid_vectors,
     interval_contains,
     member,
     open_interval,
@@ -84,8 +81,7 @@ from .records import record
 # the witness search grid, following the artifact's grids
 LAMBDAS = (Fraction(1, 2), Fraction(1, 3))  # ratios of the scale templates
 GEN_SCALES = (Fraction(1, 2), Fraction(1), Fraction(2))  # generator multiples
-MAX_CHAINS = 4  # two-point chain probes counted per search
-MAX_CANDIDATES = 600  # candidates tried per search, chain probes included
+MAX_CANDIDATES = 600  # candidates tried per search
 
 
 @record
@@ -244,11 +240,7 @@ def _certify_closed(expr: SetExpr) -> Optional[list[str]]:
 
 def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
                         include_nonmonotone: bool) -> list[Family]:
-    """The deterministic candidate grid, most promising templates first.
-
-    The chain probes are left out: they can never refute (see
-    ``_chain_probes``), so the search only counts them.
-    """
+    """The deterministic candidate grid, most promising templates first."""
     out: list[Family] = []
     if carrier == TAIL_SEQ:
         out.append(shift_family())
@@ -277,32 +269,6 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
             for lam in LAMBDAS:
                 out.append(Scale(v, lam))
     return _dedup(out)[:MAX_CANDIDATES]
-
-
-def _chain_probes(expr: SetExpr, carrier: Carrier) -> list[Family]:
-    """Two-point monotone chains of grid points inside the set.
-
-    Eventually-constant families can never leave their final value behind,
-    so these act as sanity probes rather than refuters, and the search only
-    counts them.  Each chain is an ``Explicit`` family, so it equals no
-    other candidate, and each starts at a different grid point, so no two
-    chains are equal.  The walk stops at ``MAX_CHAINS`` and tests
-    membership only at the grid points it reaches, each at most once.
-    """
-    grid = grid_vectors(carrier)
-    inside = _lazy_map(lambda p: member(expr, p), grid)
-    chains: list[Family] = []
-    for i, start in enumerate(grid):
-        if len(chains) >= MAX_CHAINS:
-            break
-        if not inside(i):
-            continue
-        # the grid holds no repeats, so j != i means q != start
-        above = next((q for j, q in enumerate(grid)
-                      if j != i and leq(start, q) and inside(j)), None)
-        if above is not None:
-            chains.append(Explicit((start, above)))
-    return chains
 
 
 def _try_witness(expr: SetExpr, family: Family,
@@ -344,9 +310,7 @@ def _closure_check(expr: SetExpr, config: SearchConfig,
         hit = _try_witness(norm, family, include_nonmonotone)
         if hit is not None:
             return Verdict("refuted", witness=hit)
-    # the chain probes follow every other candidate and never refute, so
-    # they only add to the count
-    count = min(MAX_CANDIDATES, len(candidates) + len(_chain_probes(norm, carrier)))
+    count = len(candidates)
     grids = (f"templates={count} lambdas={list(map(str, LAMBDAS))} "
              f"gen_scales={list(map(str, GEN_SCALES))} scale={config.grid_scale}")
     return Verdict("unknown", search_report=SearchReport(count, grids))
@@ -399,53 +363,30 @@ def replay_witness(expr: SetExpr, witness: ClosureWitness) -> bool:
 # -- neighborhood catalogs ------------------------------------------------------------
 
 
-@record
-class NeighborhoodCatalog:
-    """Open intervals around a center; the chain part is nested with
-    strictly shrinking widths."""
-
-    center: Vec
-    chain: tuple[Interval, ...]
-    extras: tuple[Interval, ...] = ()
-
-    def __post_init__(self):
-        for iv in self.chain + self.extras:
-            if not interval_contains(iv, self.center):
-                raise ValueError("catalog interval misses its center")
-        widths = [iv.width() for iv in self.chain]
-        for (a, b), (wa, wb) in zip(itertools.pairwise(self.chain), itertools.pairwise(widths)):
-            if not (leq(a.lo, b.lo) and leq(b.hi, a.hi)):
-                raise ValueError("chain intervals must be nested")
-            if not (leq(wb, wa) and wb != wa):
-                raise ValueError("chain widths must strictly decrease")
-
-    @property
-    def intervals(self) -> tuple[Interval, ...]:
-        # thin perturbation intervals are the sharpest refuters, so they
-        # probe first; the nested chain follows
-        return self.extras + self.chain
-
-    def is_chain(self) -> bool:
-        return not self.extras
-
-
 def symmetric_chain(x: Vec, depth: int,
-                    semantics: Semantics = Semantics.STRICT_PARTIAL) -> NeighborhoodCatalog:
-    """The nested chain (x - e/m, x + e/m), m = 1..depth, e the all-ones."""
+                    semantics: Semantics = Semantics.STRICT_PARTIAL) -> tuple[Interval, ...]:
+    """The nested chain (x - e/m, x + e/m), m = 1..depth, e the all-ones.
+
+    Every interval holds x and the next one, and interval m has width
+    exactly 2e/m, so the widths shrink strictly to zero.
+    """
     if depth < 1:
         raise ValueError("catalog depth must be at least 1")
     e = ones(x.carrier)
-    chain = tuple(
+    return tuple(
         open_interval(x - scale(Fraction(1, m), e), x + scale(Fraction(1, m), e), semantics)
         for m in range(1, depth + 1)
     )
-    return NeighborhoodCatalog(x, chain)
 
 
 def neighborhood_catalog(x: Vec, depth: int,
-                         semantics: Semantics = Semantics.STRICT_PARTIAL) -> NeighborhoodCatalog:
-    """Symmetric chain plus single-coordinate perturbation intervals."""
-    base = symmetric_chain(x, depth, semantics)
+                         semantics: Semantics = Semantics.STRICT_PARTIAL) -> tuple[Interval, ...]:
+    """Single-coordinate perturbation intervals, then the symmetric chain.
+
+    Thin perturbation intervals are the sharpest refuters, so they probe
+    first; each is (x - d*e_j, x + d*e_j) for d = 1, 1/2.
+    """
+    chain = symmetric_chain(x, depth, semantics)
     extras: list[Interval] = []
     span = min(depth, x.carrier.dim) if x.carrier.kind == "findim" else depth
     for j in range(1, span + 1):
@@ -455,7 +396,7 @@ def neighborhood_catalog(x: Vec, depth: int,
                 extras.append(open_interval(x - step, x + step, semantics))
             except ValueError:
                 continue  # empty under strict-uniform semantics
-    return NeighborhoodCatalog(x, base.chain, tuple(extras))
+    return tuple(extras) + chain
 
 
 @record
@@ -469,12 +410,15 @@ class TauEReport:
 
 
 def tau_e_convergence_report(F: Family, x: Vec,
-                             catalog: NeighborhoodCatalog) -> TauEReport:
-    """One failed neighborhood refutes; all-pass is consistency, not proof."""
-    if catalog.center != x:
-        raise ValueError("catalog center differs from the candidate limit")
+                             intervals: Sequence[Interval]) -> TauEReport:
+    """One failed neighborhood refutes; all-pass is consistency, not proof.
+
+    Every interval must hold x; the catalog builders above guarantee it.
+    """
+    if not all(interval_contains(iv, x) for iv in intervals):
+        raise ValueError("catalog interval misses its center")
     thresholds: list[tuple[int, int]] = []
-    for pos, iv in enumerate(catalog.intervals):
+    for pos, iv in enumerate(intervals):
         got = eventually_in(F, IntervalSet(iv))
         if got.status != "holds-from":
             return TauEReport(x, False, refuted_by=iv,

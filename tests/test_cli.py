@@ -257,9 +257,33 @@ def test_a_bad_tau_subset_set_is_reported_at_its_index(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_missing_document():
+def test_missing_document(capsys):
     code, _ = run_cli(["check-set", "/nonexistent/doc.json"])
     assert code == 1
+    assert "error: no such document: /nonexistent/doc.json" in capsys.readouterr().err
+
+
+def test_a_directory_as_document_is_an_input_error(tmp_path, capsys):
+    code, text = run_cli(["check-set", str(tmp_path)])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err.startswith("error: cannot read document: ")
+
+
+def test_a_document_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"carrier": "\xff"}')
+    code, text = run_cli(["check-set", str(path)])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err.startswith("error: cannot read document: ")
+
+
+def test_a_report_that_cannot_be_written_is_an_error(tmp_path, capsys):
+    doc = write_doc(tmp_path, "doc.json", counterexample_doc())
+    out_path = str(tmp_path / "missing" / "report.json")
+    code, text = run_cli(["check-set", doc, "--output", out_path])
+    assert code == 1
+    assert "status: refuted" in text  # the verdict still prints
+    assert capsys.readouterr().err.startswith("error: cannot write report: ")
 
 
 def test_contradicting_theorem_report_maps_to_exit_3(tmp_path, monkeypatch):

@@ -340,10 +340,11 @@ def test_scans_of_nested_running_sup_are_linear(monkeypatch):
     assert eventually_in(f, box).index == 0
     assert calls <= 3 * n
     calls = 0
-    # the last listed value is the first outside: the forward scan gets there
+    # the last listed value is the first outside, and every later one is too
     got = eventually_in(f, low)
-    assert (got.status, got.witness_index) == ("fails-from", n - 1)
+    assert (got.status, got.index) == ("fails-from", n - 1)
     assert calls <= 3 * n
+    assert not any(member(low, v) for v in values_iter(f, n + 20, got.index))
     cert = order_converges(f, Vec.fin([F(n - 1, n), F(10, 11)]))
     calls = 0
     assert validate_certificate(f, cert)
@@ -501,10 +502,18 @@ def test_decay_halfspace_threshold_is_least_index():
 
 def test_eventually_in_failure_reports_witness():
     f = shift_family()
-    got = eventually_in(f, IntervalSet(open_interval(-e1(), e1())))
+    hole = IntervalSet(open_interval(-e1(), e1()))
+    got = eventually_in(f, hole)
+    assert (got.status, got.index) == ("fails-from", 1)
+    # every value from the index on witnesses the failure
+    assert not any(member(hole, v) for v in values_iter(f, 40, got.index))
+
+
+def test_a_failure_is_decided_without_reading_a_value(monkeypatch):
+    counter = _count_value_calls(monkeypatch)
+    got = eventually_in(Shift(), IntervalSet(open_interval(-e1(), e1())))
     assert got.status == "fails-from"
-    assert got.witness_index == 1
-    assert not member(IntervalSet(open_interval(-e1(), e1())), value(f, got.witness_index))
+    assert counter["calls"] == 0
 
 
 def test_eventually_in_shift_up_stays_tail_zero():

@@ -4,6 +4,8 @@ The reprs below were recorded from the ``dataclasses`` implementation; a
 test pins form reprs by SHA-256, so they must stay byte-identical.
 """
 
+import copy
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ from ordertopo.ordersets import (
 )
 from ordertopo.records import FrozenInstanceError, replace
 from ordertopo.theorems import TheoremStep
-from ordertopo.topology import SearchConfig, SearchReport
+from ordertopo.topology import SearchConfig, SearchReport, check_quasi_order_closed
 
 F = Fraction
 
@@ -60,7 +62,7 @@ PINNED_REPRS = {
     'shift': 'Shift(head=Fraction(0, 1), tail=Fraction(1, 1))',
     'scale': "Scale(v=Vec(carrier=Carrier(kind='findim', dim=1), coords=(Fraction(1, 1),), tail=None), lam=Fraction(1, 2))",
     'coord_decay': "CoordDecay(c=Vec(carrier=Carrier(kind='tailseq', dim=0), coords=(), tail=Fraction(0, 1)), p=Vec(carrier=Carrier(kind='tailseq', dim=0), coords=(Fraction(1, 1),), tail=Fraction(0, 1)), q=Fraction(0, 1))",
-    'eventual_verdict': "EventualVerdict(status='holds-from', index=3, witness_index=None, settled_at=0)",
+    'eventual_verdict': "EventualVerdict(status='holds-from', index=3, settled_at=0)",
     'geom': 'Geom(lam=Fraction(1, 3))',
     'mono_seq': 'MonoSeq(a=Fraction(0, 1), b=Fraction(1, 1), kernel=Harmonic(q=Fraction(0, 1)), start=2)',
     'shift_form': 'ShiftForm(fixed=(Fraction(1, 1),), head=Fraction(0, 1), tailv=Fraction(1, 1), start=1)',
@@ -168,6 +170,25 @@ def test_fields_are_stored_once(name):
     r = CASES[name]()
     assert r.__slots__ == r.__match_args__ + ("_hash",)
     assert not hasattr(r, "_values")
+
+
+COPYABLE = {
+    "vec_fin": lambda: Vec.fin([0, F(-1, 2)]),
+    "vec_seq": lambda: Vec.seq([1, F(1, 3)], 0),
+    "interval": lambda: open_interval(Vec.fin([0]), Vec.fin([1])),
+    "interval_set": CASES["interval_set"],
+    "tail_zero": lambda: TailZero(),
+    "coord_decay": CASES["coord_decay"],
+    "verdict": lambda: check_quasi_order_closed(TailZero()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPYABLE))
+def test_records_copy_and_pickle(name):
+    r = COPYABLE[name]()
+    for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(twin) is type(r)
+        assert twin == r and hash(twin) == hash(r) and repr(twin) == repr(r)
 
 
 def test_a_findim_vector_takes_at_most_100_bytes():

@@ -23,7 +23,6 @@ from ordertopo.theorems import (
     verify_interval_convergence_theorem,
     verify_interval_fit_probe,
 )
-from ordertopo.topology import symmetric_chain
 
 F = Fraction
 
@@ -67,15 +66,13 @@ def test_example_e1_inconclusive_under_strict_uniform():
 
 def test_interval_convergence_confirmed_for_decay():
     f = CoordDecay(zero(findim(2)), Vec.fin([1, 1]))
-    chain = symmetric_chain(zero(findim(2)), 10)
-    report = verify_interval_convergence_theorem(f, zero(findim(2)), chain)
+    report = verify_interval_convergence_theorem(f, zero(findim(2)), 10)
     assert report.conclusion == CONFIRMED
     assert not report.contradicts_expectations
 
 
 def test_interval_convergence_hypothesis_unmet_for_shift():
-    chain = symmetric_chain(zero(TAIL_SEQ), 3)
-    report = verify_interval_convergence_theorem(shift_family(), zero(TAIL_SEQ), chain)
+    report = verify_interval_convergence_theorem(shift_family(), zero(TAIL_SEQ), 3)
     assert report.conclusion == INCONCLUSIVE
     assert any("hypothesis" in n for n in report.notes)
     assert not report.contradicts_expectations
@@ -84,19 +81,15 @@ def test_interval_convergence_hypothesis_unmet_for_shift():
 def test_interval_convergence_trivial_constant():
     x = Vec.fin([1, 2])
     f = Explicit((x,))
-    chain = symmetric_chain(x, 4)
-    report = verify_interval_convergence_theorem(f, x, chain)
+    report = verify_interval_convergence_theorem(f, x, 4)
     assert report.conclusion == CONFIRMED
 
 
-def test_interval_convergence_rejects_non_canonical_chain():
+def test_interval_convergence_rejects_a_depth_below_one():
+    # the theorem builds its own chain, so the depth is all a caller can get wrong
     f = CoordDecay(zero(findim(2)), Vec.fin([1, 1]))
-    good = symmetric_chain(zero(findim(2)), 4)
-    from ordertopo.topology import NeighborhoodCatalog
-
-    truncated = NeighborhoodCatalog(zero(findim(2)), good.chain[1:])
-    with pytest.raises(ValueError):
-        verify_interval_convergence_theorem(f, zero(findim(2)), truncated)
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        verify_interval_convergence_theorem(f, zero(findim(2)), 0)
 
 
 def test_band_proposition_confirmed_for_band_generators():
@@ -157,30 +150,30 @@ def test_interval_convergence_near_one_ratio_is_cheap(monkeypatch):
 
     x = zero(findim(2))
     family = Scale(Vec.fin([1, 4]), F(9999, 10000))
-    chain = symmetric_chain(x, 5)
     monkeypatch.setattr(F, "__pow__", counting)
-    report = verify_interval_convergence_theorem(family, x, chain)
+    report = verify_interval_convergence_theorem(family, x, 5)
     assert report.conclusion == CONFIRMED
     assert calls <= 200
 
 
-def test_interval_convergence_reuses_a_plain_chain(monkeypatch):
-    from ordertopo.topology import NeighborhoodCatalog
+def test_a_confirmed_interval_convergence_computes_no_width(monkeypatch):
+    # the chain is canonical by construction, so no width is checked; a
+    # width is computed only to describe a failed hypothesis
+    from ordertopo.ordersets import Interval
+
+    calls = 0
+    real = Interval.width
+
+    def counting(iv):
+        nonlocal calls
+        calls += 1
+        return real(iv)
 
     x = zero(findim(2))
-    chain = symmetric_chain(x, 4)
-    built = 0
-    real = NeighborhoodCatalog.__post_init__
-
-    def counting(self):
-        nonlocal built
-        built += 1
-        real(self)
-
-    monkeypatch.setattr(NeighborhoodCatalog, "__post_init__", counting)
-    report = verify_interval_convergence_theorem(CoordDecay(x, Vec.fin([1, 2])), x, chain)
+    monkeypatch.setattr(Interval, "width", counting)
+    report = verify_interval_convergence_theorem(CoordDecay(x, Vec.fin([1, 2])), x, 4)
     assert report.conclusion == CONFIRMED
-    assert built == 0
+    assert calls == 0
 
 
 def test_interval_convergence_solves_each_open_endpoint_threshold_once(monkeypatch):
@@ -199,8 +192,7 @@ def test_interval_convergence_solves_each_open_endpoint_threshold_once(monkeypat
         return real(self, t, start)
 
     x = zero(findim(2))
-    chain = symmetric_chain(x, 5)
     monkeypatch.setattr(Geom, "first_below", counting)
-    report = verify_interval_convergence_theorem(Scale(Vec.fin([1, 4]), F(9999, 10000)), x, chain)
+    report = verify_interval_convergence_theorem(Scale(Vec.fin([1, 4]), F(9999, 10000)), x, 5)
     assert report.conclusion == CONFIRMED
     assert calls == 20

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ordertopo.carriers import TAIL_SEQ, Vec, findim, leq, ones, scale, unit, zero
-from ordertopo.eventual import form_limit
-from ordertopo.families import Shift, form_of, value
+from ordertopo.families import Shift, value
 from ordertopo.ordersets import (
     Band,
     Complement,
@@ -26,8 +25,8 @@ from ordertopo.ordersets import (
 )
 import ordertopo.topology as topology
 from ordertopo.topology import (
-    NeighborhoodCatalog,
-    _chain_probes,
+    DEFAULT_CONFIG,
+    _witness_candidates,
     check_order_closed,
     check_quasi_order_closed,
     interval_fit,
@@ -231,12 +230,12 @@ def open_box_complement(carrier):
 
 
 @pytest.mark.parametrize("carrier, max_candidates, count", [
-    (findim(3), 600, 30),
-    (findim(3), 28, 28),
-    (TAIL_SEQ, 600, 32),
+    (findim(3), 600, 26),
+    (findim(3), 20, 20),
+    (TAIL_SEQ, 600, 28),
 ])
-def test_unknown_search_report_counts_chain_probes(carrier, max_candidates, count,
-                                                   monkeypatch):
+def test_unknown_search_report_counts_the_tried_candidates(carrier, max_candidates, count,
+                                                           monkeypatch):
     monkeypatch.setattr(topology, "MAX_CANDIDATES", max_candidates)
     s = open_box_complement(carrier)
     got = check_order_closed(s)
@@ -244,23 +243,8 @@ def test_unknown_search_report_counts_chain_probes(carrier, max_candidates, coun
     assert got.search_report.candidates == count
     assert got.search_report.grids == (
         f"templates={count} lambdas=['1/2', '1/3'] gen_scales=['1/2', '1', '2'] scale=1")
-    # the count includes the chain probes
-    assert len(_chain_probes(normalize_expr(s), carrier)) == topology.MAX_CHAINS
-
-
-def test_chain_probes_end_inside_the_set():
-    # an eventually constant chain converges to its last value; that value
-    # is a member, so no chain probe can ever refute closedness
-    cases = [
-        (open_box_complement(findim(3)), findim(3)),
-        (open_box_complement(TAIL_SEQ), TAIL_SEQ),
-        (Complement(IntervalSet(open_interval(-e1(), e1()))), TAIL_SEQ),
-    ]
-    for s, carrier in cases:
-        chains = _chain_probes(normalize_expr(s), carrier)
-        assert chains
-        for fam in chains:
-            assert member(s, form_limit(form_of(fam)))
+    # the count is exactly the candidates the search tried
+    assert count == len(_witness_candidates(normalize_expr(s), carrier, DEFAULT_CONFIG, True))
 
 
 def test_every_search_refutation_replays():
@@ -298,41 +282,27 @@ def test_every_search_refutation_replays():
 
 
 def test_symmetric_chain_shape():
-    cat = symmetric_chain(zero(findim(2)), 3)
-    assert cat.is_chain() and len(cat.chain) == 3
-    widths = [iv.width() for iv in cat.chain]
+    chain = symmetric_chain(zero(findim(2)), 3)
+    assert len(chain) == 3
+    widths = [iv.width() for iv in chain]
     assert widths[0] == scale(2, ones(findim(2)))
     for a, b in zip(widths, widths[1:]):
         assert leq(b, a) and a != b
 
 
 def test_neighborhood_catalog_contains_perturbations():
-    cat = neighborhood_catalog(zero(TAIL_SEQ), 2)
-    assert not cat.is_chain()
-    endpoints = {(iv.lo, iv.hi) for iv in cat.extras}
+    catalog = neighborhood_catalog(zero(TAIL_SEQ), 2)
+    chain = symmetric_chain(zero(TAIL_SEQ), 2)
+    # the perturbation intervals probe first, and the chain follows
+    extras = catalog[:-len(chain)]
+    assert catalog[-len(chain):] == chain
+    endpoints = {(iv.lo, iv.hi) for iv in extras}
     assert (-e1(), e1()) in endpoints
-    for iv in cat.intervals:
-        from ordertopo.ordersets import interval_contains
-
+    for iv in catalog:
         assert interval_contains(iv, zero(TAIL_SEQ))
 
 
-def test_catalog_rejects_broken_chain():
-    e = ones(findim(2))
-    good = open_interval(-e, e)
-    also_good = open_interval(scale(F(-1, 2), e), scale(F(1, 2), e))
-    with pytest.raises(ValueError, match="nested"):
-        NeighborhoodCatalog(zero(findim(2)), (also_good, good))
-    # each rejection on its own: a center outside, then widths that stay put
-    with pytest.raises(ValueError, match="misses its center"):
-        NeighborhoodCatalog(scale(F(2), e), (good,))
-    with pytest.raises(ValueError, match="misses its center"):
-        NeighborhoodCatalog(scale(F(2), e), (), extras=(good,))
-    with pytest.raises(ValueError, match="strictly decrease"):
-        NeighborhoodCatalog(zero(findim(2)), (good, good))
-
-
-def test_catalog_computes_each_width_once(monkeypatch):
+def test_building_a_catalog_computes_no_width(monkeypatch):
     from ordertopo.ordersets import Interval
 
     calls = 0
@@ -345,7 +315,8 @@ def test_catalog_computes_each_width_once(monkeypatch):
 
     monkeypatch.setattr(Interval, "width", counting)
     symmetric_chain(zero(findim(3)), 10)
-    assert calls == 10
+    neighborhood_catalog(zero(TAIL_SEQ), 10)
+    assert calls == 0
 
 
 # -- tau_e convergence reports ----------------------------------------------------------
@@ -384,7 +355,9 @@ def test_constant_family_consistent_with_zero_thresholds():
 
 
 def test_report_requires_matching_center():
-    with pytest.raises(ValueError):
+    # e1 lies in (-e, e) but not in (-e/2, e/2): the whole catalog is checked
+    # before any interval is probed
+    with pytest.raises(ValueError, match="misses its center"):
         tau_e_convergence_report(Shift(), e1(), symmetric_chain(zero(TAIL_SEQ), 2))
 
 
