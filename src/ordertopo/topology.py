@@ -37,6 +37,7 @@ from .carriers import (
 from .families import (
     Certificate,
     CoordDecay,
+    Explicit,
     Family,
     Scale,
     _direction_rule,
@@ -68,8 +69,10 @@ from .ordersets import (
     Union,
     _all_parts,
     _dedup,
+    _lazy_map,
     carrier_of,
     collect_vectors,
+    grid_vectors,
     interval_contains,
     member,
     open_interval,
@@ -81,7 +84,8 @@ from .records import record
 # the witness search grid, following the artifact's grids
 LAMBDAS = (Fraction(1, 2), Fraction(1, 3))  # ratios of the scale templates
 GEN_SCALES = (Fraction(1, 2), Fraction(1), Fraction(2))  # generator multiples
-MAX_CANDIDATES = 600  # candidates tried per search
+MAX_CHAINS = 4  # two-point chain probes counted per search
+MAX_CANDIDATES = 600  # candidates tried per search, chain probes included
 
 
 @record
@@ -240,7 +244,11 @@ def _certify_closed(expr: SetExpr) -> Optional[list[str]]:
 
 def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
                         include_nonmonotone: bool) -> list[Family]:
-    """The deterministic candidate grid, most promising templates first."""
+    """The deterministic candidate grid, most promising templates first.
+
+    The chain probes are left out: they can never refute (see
+    ``_chain_probes``), so the search only counts them.
+    """
     out: list[Family] = []
     if carrier == TAIL_SEQ:
         out.append(shift_family())
@@ -269,6 +277,32 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
             for lam in LAMBDAS:
                 out.append(Scale(v, lam))
     return _dedup(out)[:MAX_CANDIDATES]
+
+
+def _chain_probes(expr: SetExpr, carrier: Carrier) -> list[Family]:
+    """Two-point monotone chains of grid points inside the set.
+
+    Eventually-constant families can never leave their final value behind,
+    so these act as sanity probes rather than refuters, and the search only
+    counts them.  Each chain is an ``Explicit`` family, so it equals no
+    other candidate, and each starts at a different grid point, so no two
+    chains are equal.  The walk stops at ``MAX_CHAINS`` and tests
+    membership only at the grid points it reaches, each at most once.
+    """
+    grid = grid_vectors(carrier)
+    inside = _lazy_map(lambda p: member(expr, p), grid)
+    chains: list[Family] = []
+    for i, start in enumerate(grid):
+        if len(chains) >= MAX_CHAINS:
+            break
+        if not inside(i):
+            continue
+        # the grid holds no repeats, so j != i means q != start
+        above = next((q for j, q in enumerate(grid)
+                      if j != i and leq(start, q) and inside(j)), None)
+        if above is not None:
+            chains.append(Explicit((start, above)))
+    return chains
 
 
 def _try_witness(expr: SetExpr, family: Family,
@@ -310,7 +344,9 @@ def _closure_check(expr: SetExpr, config: SearchConfig,
         hit = _try_witness(norm, family, include_nonmonotone)
         if hit is not None:
             return Verdict("refuted", witness=hit)
-    count = len(candidates)
+    # the chain probes follow every other candidate and never refute, so
+    # they only add to the count
+    count = min(MAX_CANDIDATES, len(candidates) + len(_chain_probes(norm, carrier)))
     grids = (f"templates={count} lambdas={list(map(str, LAMBDAS))} "
              f"gen_scales={list(map(str, GEN_SCALES))} scale={config.grid_scale}")
     return Verdict("unknown", search_report=SearchReport(count, grids))

@@ -45,7 +45,7 @@ def test_catalogs_hold_their_center_nest_and_shrink_by_2e_over_m(x, depth, seman
     chain = symmetric_chain(x, depth, semantics)
     catalog = neighborhood_catalog(x, depth, semantics)
     assert len(chain) == depth
-    assert catalog[len(catalog) - depth:] == chain  # the chain probes last
+    assert catalog[len(catalog) - depth:] == chain  # the chain comes last
     assert all(interval_contains(iv, x) for iv in catalog)
     for a, b in zip(chain, chain[1:]):
         assert leq(a.lo, b.lo) and leq(b.hi, a.hi)

@@ -1,16 +1,18 @@
-"""The lazy solidity walk gives exactly what the eager walk gave.
+"""The lazy grid walks give exactly what the eager walks gave.
 
-``check_solid`` walks the cached probe grid and tests membership only where
-the walk reaches.  The eager version below tests every grid point first; it
-is kept here as a reference, and the walk must agree with it on statuses,
-witnesses and pair counts.
+``_chain_probes`` and ``check_solid`` walk the cached probe grid and test
+membership only where the walk reaches.  The eager versions below test
+every grid point first; they are kept here as references, and both walks
+must agree with them on chains, statuses, witnesses and pair counts.
 """
 
 from fractions import Fraction
 
 import pytest
 
+import ordertopo.topology as topology
 from ordertopo.carriers import TAIL_SEQ, Vec, findim, leq, ones, scale, unit, zero
+from ordertopo.families import Explicit
 from ordertopo.ordersets import (
     MAX_SOLID_PAIRS,
     Band,
@@ -29,9 +31,22 @@ from ordertopo.ordersets import (
     member,
     open_interval,
 )
+from ordertopo.topology import _chain_probes, normalize_expr
 
 F = Fraction
 CARRIERS = [findim(1), findim(2), findim(3), findim(4), TAIL_SEQ]
+
+
+def eager_chain_probes(expr, carrier):
+    points = [p for p in grid_vectors(carrier) if member(expr, p)]
+    chains = []
+    for start in points:
+        if len(chains) >= topology.MAX_CHAINS:
+            break
+        above = next((q for q in points if q != start and leq(start, q)), None)
+        if above is not None:
+            chains.append(Explicit((start, above)))
+    return chains
 
 
 def eager_check_solid(expr):
@@ -79,6 +94,14 @@ CASES = [(c, s) for c in CARRIERS for s in catalogue(c)]
 
 
 @pytest.mark.parametrize("carrier, expr", CASES)
+def test_chain_probes_match_the_eager_walk(carrier, expr, monkeypatch):
+    norm = normalize_expr(expr)
+    for max_chains in (0, 1, 4, 9):
+        monkeypatch.setattr(topology, "MAX_CHAINS", max_chains)
+        assert _chain_probes(norm, carrier) == eager_chain_probes(norm, carrier)
+
+
+@pytest.mark.parametrize("carrier, expr", CASES)
 def test_check_solid_matches_the_eager_walk(carrier, expr):
     got, want = check_solid(expr), eager_check_solid(expr)
     assert (got.status, got.witness, got.searched) == (want.status, want.witness, want.searched)
@@ -87,6 +110,22 @@ def test_check_solid_matches_the_eager_walk(carrier, expr):
 def test_catalogue_reaches_every_solidity_outcome():
     statuses = {check_solid(s).status for _, s in CASES}
     assert statuses == {"certified", "refuted", "unknown"}
+
+
+def test_chain_probes_test_membership_only_where_the_walk_reaches(monkeypatch):
+    calls = 0
+
+    def counting(expr, z):
+        nonlocal calls
+        calls += 1
+        return member(expr, z)
+
+    carrier = findim(4)
+    expr = normalize_expr(Complement(IntervalSet(open_interval(zero(carrier), ones(carrier)))))
+    monkeypatch.setattr(topology, "member", counting)
+    chains = _chain_probes(expr, carrier)
+    assert len(chains) == topology.MAX_CHAINS
+    assert calls < 100  # the eager walk tested all 2401 grid points
 
 
 def test_check_solid_takes_each_absolute_value_once(monkeypatch):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ordertopo.carriers import TAIL_SEQ, Vec, findim, leq, ones, scale, unit, zero
-from ordertopo.families import Shift, value
+from ordertopo.eventual import form_limit
+from ordertopo.families import Shift, form_of, value
 from ordertopo.ordersets import (
     Band,
     Complement,
@@ -25,8 +26,7 @@ from ordertopo.ordersets import (
 )
 import ordertopo.topology as topology
 from ordertopo.topology import (
-    DEFAULT_CONFIG,
-    _witness_candidates,
+    _chain_probes,
     check_order_closed,
     check_quasi_order_closed,
     interval_fit,
@@ -230,12 +230,12 @@ def open_box_complement(carrier):
 
 
 @pytest.mark.parametrize("carrier, max_candidates, count", [
-    (findim(3), 600, 26),
-    (findim(3), 20, 20),
-    (TAIL_SEQ, 600, 28),
+    (findim(3), 600, 30),
+    (findim(3), 28, 28),
+    (TAIL_SEQ, 600, 32),
 ])
-def test_unknown_search_report_counts_the_tried_candidates(carrier, max_candidates, count,
-                                                           monkeypatch):
+def test_unknown_search_report_counts_chain_probes(carrier, max_candidates, count,
+                                                   monkeypatch):
     monkeypatch.setattr(topology, "MAX_CANDIDATES", max_candidates)
     s = open_box_complement(carrier)
     got = check_order_closed(s)
@@ -243,8 +243,23 @@ def test_unknown_search_report_counts_the_tried_candidates(carrier, max_candidat
     assert got.search_report.candidates == count
     assert got.search_report.grids == (
         f"templates={count} lambdas=['1/2', '1/3'] gen_scales=['1/2', '1', '2'] scale=1")
-    # the count is exactly the candidates the search tried
-    assert count == len(_witness_candidates(normalize_expr(s), carrier, DEFAULT_CONFIG, True))
+    # the count includes the chain probes
+    assert len(_chain_probes(normalize_expr(s), carrier)) == topology.MAX_CHAINS
+
+
+def test_chain_probes_end_inside_the_set():
+    # an eventually constant chain converges to its last value; that value
+    # is a member, so no chain probe can ever refute closedness
+    cases = [
+        (open_box_complement(findim(3)), findim(3)),
+        (open_box_complement(TAIL_SEQ), TAIL_SEQ),
+        (Complement(IntervalSet(open_interval(-e1(), e1()))), TAIL_SEQ),
+    ]
+    for s, carrier in cases:
+        chains = _chain_probes(normalize_expr(s), carrier)
+        assert chains
+        for fam in chains:
+            assert member(s, form_limit(form_of(fam)))
 
 
 def test_every_search_refutation_replays():
