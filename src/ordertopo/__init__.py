@@ -66,7 +66,6 @@ from .ordersets import (
     Translate,
     Union,
     band_member,
-    carrier_atoms,
     check_solid,
     closed_interval,
     disjoint,
@@ -100,7 +99,6 @@ from .topology import (
     replay_witness,
     symmetric_chain,
     tau_e_convergence_report,
-    vector_topology_probe,
 )
 
 __version__ = "0.1.0"

@@ -202,7 +202,7 @@ def _run_check_set(doc: ProblemDoc) -> RunResult:
             x, y = verdict.witness
             lines.append(f"witness inside: {x}")
             lines.append(f"dominated outside: {y}")
-    elif mode in CHECK_MODES:
+    elif isinstance(mode, str) and mode in CHECK_MODES:
         verdict = CHECK_MODES[mode](expr, doc.config)
         body = verdict_to_json(verdict)
         lines.append(f"status: {verdict.status}")
@@ -280,7 +280,7 @@ def _run_theorem(doc: ProblemDoc) -> RunResult:
     if "id" not in doc.payload:
         raise DocumentError(f"{path}.id", "missing theorem id")
     raw_id = doc.payload["id"]
-    if raw_id not in THEOREM_ALIASES:
+    if not isinstance(raw_id, str) or raw_id not in THEOREM_ALIASES:
         raise DocumentError(f"{path}.id", f"unknown theorem id {raw_id!r}")
     tid = THEOREM_ALIASES[raw_id]
     if tid == "example-e1":

@@ -293,37 +293,23 @@ def form_of(F: Family) -> Form:
 class Monotonicity:
     direction: str  # "increasing" | "decreasing" | "neither"
     rule: str
-    checked_to: int
-    violations: tuple[tuple[int, Vec, Vec], ...] = ()
 
 
 MONOTONICITY_HORIZON = 24  # consecutive pairs the exact cross-check compares
 
 
 def monotonicity(F: Family) -> Monotonicity:
-    """Template-level direction, cross-checked exactly up to a horizon."""
-    k0 = index_base(F)
+    """Template-level direction, cross-checked exactly up to a horizon when
+    the template claims one; ``_direction_rule`` decides "neither" exactly."""
     direction, rule = _direction_rule(F)
-    if direction == "neither":
-        # only the finite-list and mixed-decay templates can land here, so a
-        # short scan is guaranteed to exhibit both broken directions
-        cap = len(F.values) if isinstance(F, Explicit) else 2
-        steps = list(enumerate(itertools.pairwise(values_iter(F, k0 + cap + 1)), k0))
-        breaks = []
-        for want in ("decreasing", "increasing"):
-            for k, (a, b) in steps:
-                ordered = leq(b, a) if want == "decreasing" else leq(a, b)
-                if not ordered:
-                    breaks.append((k, a, b))
-                    break
-        checked = max(k for k, _, _ in breaks) + 1
-        return Monotonicity("neither", rule, checked, tuple(breaks))
-    last = k0 + MONOTONICITY_HORIZON
-    for k, (prev, cur) in enumerate(itertools.pairwise(values_iter(F, last)), k0 + 1):
-        ok = leq(cur, prev) if direction == "decreasing" else leq(prev, cur)
-        if not ok:
-            raise AssertionError(f"template rule contradicted at index {k}")
-    return Monotonicity(direction, rule, last)
+    if direction != "neither":
+        k0 = index_base(F)
+        last = k0 + MONOTONICITY_HORIZON
+        for k, (prev, cur) in enumerate(itertools.pairwise(values_iter(F, last)), k0 + 1):
+            ok = leq(cur, prev) if direction == "decreasing" else leq(prev, cur)
+            if not ok:
+                raise AssertionError(f"template rule contradicted at index {k}")
+    return Monotonicity(direction, rule)
 
 
 def _direction_rule(F: Family) -> tuple[str, str]:

@@ -24,7 +24,6 @@ from .carriers import (
     leq,
     scale,
     strictly_everywhere_below,
-    unit,
     zero,
 )
 from .rationals import rat
@@ -366,30 +365,6 @@ def is_atom(x: Vec) -> bool:
     if x.carrier.kind == "tailseq" and x.tail != 0:
         return False
     return sum(1 for c in x.coords if c != 0) == 1
-
-
-@record
-class AtomsReport:
-    carrier: Carrier
-    atomic: bool
-    samples: tuple[Vec, ...]
-    description: str
-
-
-ATOM_SAMPLES = 4  # unit vectors listed for the tailseq carrier
-
-
-def carrier_atoms(carrier: Carrier) -> AtomsReport:
-    """Describe the atom set of a carrier; both carriers are atomic."""
-    if carrier.kind == "findim":
-        samples = tuple(unit(carrier, j) for j in range(1, carrier.dim + 1))
-        text = ("every atom is a positive rational multiple of a standard "
-                f"unit vector e_1..e_{carrier.dim}")
-    else:
-        samples = tuple(unit(carrier, j) for j in range(1, ATOM_SAMPLES + 1))
-        text = ("every atom is a positive rational multiple of a standard "
-                "unit vector e_j, j >= 1")
-    return AtomsReport(carrier, True, samples, text)
 
 
 # -- solidity ------------------------------------------------------------------

@@ -12,7 +12,6 @@ from fractions import Fraction
 Rat = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(num, den=None) -> Fraction:

@@ -37,7 +37,6 @@ from .carriers import (
 from .families import (
     Certificate,
     CoordDecay,
-    Explicit,
     Family,
     Scale,
     _direction_rule,
@@ -69,23 +68,19 @@ from .ordersets import (
     Union,
     _all_parts,
     _dedup,
-    _lazy_map,
     carrier_of,
     collect_vectors,
-    grid_vectors,
     interval_contains,
     member,
     open_interval,
 )
-from .rationals import rat
 from .records import record
 
 
 # the witness search grid, following the artifact's grids
 LAMBDAS = (Fraction(1, 2), Fraction(1, 3))  # ratios of the scale templates
 GEN_SCALES = (Fraction(1, 2), Fraction(1), Fraction(2))  # generator multiples
-MAX_CHAINS = 4  # two-point chain probes counted per search
-MAX_CANDIDATES = 600  # candidates tried per search, chain probes included
+MAX_CANDIDATES = 600  # candidates tried per search
 
 
 @record
@@ -244,11 +239,8 @@ def _certify_closed(expr: SetExpr) -> Optional[list[str]]:
 
 def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
                         include_nonmonotone: bool) -> list[Family]:
-    """The deterministic candidate grid, most promising templates first.
-
-    The chain probes are left out: they can never refute (see
-    ``_chain_probes``), so the search only counts them.
-    """
+    """The deterministic candidate grid, most promising templates first,
+    cut at ``MAX_CANDIDATES``; an unknown report counts exactly these."""
     out: list[Family] = []
     if carrier == TAIL_SEQ:
         out.append(shift_family())
@@ -277,32 +269,6 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
             for lam in LAMBDAS:
                 out.append(Scale(v, lam))
     return _dedup(out)[:MAX_CANDIDATES]
-
-
-def _chain_probes(expr: SetExpr, carrier: Carrier) -> list[Family]:
-    """Two-point monotone chains of grid points inside the set.
-
-    Eventually-constant families can never leave their final value behind,
-    so these act as sanity probes rather than refuters, and the search only
-    counts them.  Each chain is an ``Explicit`` family, so it equals no
-    other candidate, and each starts at a different grid point, so no two
-    chains are equal.  The walk stops at ``MAX_CHAINS`` and tests
-    membership only at the grid points it reaches, each at most once.
-    """
-    grid = grid_vectors(carrier)
-    inside = _lazy_map(lambda p: member(expr, p), grid)
-    chains: list[Family] = []
-    for i, start in enumerate(grid):
-        if len(chains) >= MAX_CHAINS:
-            break
-        if not inside(i):
-            continue
-        # the grid holds no repeats, so j != i means q != start
-        above = next((q for j, q in enumerate(grid)
-                      if j != i and leq(start, q) and inside(j)), None)
-        if above is not None:
-            chains.append(Explicit((start, above)))
-    return chains
 
 
 def _try_witness(expr: SetExpr, family: Family,
@@ -344,9 +310,7 @@ def _closure_check(expr: SetExpr, config: SearchConfig,
         hit = _try_witness(norm, family, include_nonmonotone)
         if hit is not None:
             return Verdict("refuted", witness=hit)
-    # the chain probes follow every other candidate and never refute, so
-    # they only add to the count
-    count = min(MAX_CANDIDATES, len(candidates) + len(_chain_probes(norm, carrier)))
+    count = len(candidates)
     grids = (f"templates={count} lambdas={list(map(str, LAMBDAS))} "
              f"gen_scales={list(map(str, GEN_SCALES))} scale={config.grid_scale}")
     return Verdict("unknown", search_report=SearchReport(count, grids))
@@ -607,38 +571,3 @@ def _interval_lattice(iv: Interval, min_count: int):
             z = Vec(a.carrier, tuple(combo[:-1]), combo[-1])
         if interval_contains(iv, z):
             yield z
-
-
-# -- the vector-topology probe ----------------------------------------------------------
-
-
-@record
-class ProbeEntry:
-    operation: str  # "translate" | "dilate"
-    parameter: str
-    status: str
-
-
-@record
-class ProbeReport:
-    base_status: str
-    entries: tuple[ProbeEntry, ...]
-    all_certified: bool
-
-
-def vector_topology_probe(expr: SetExpr, shifts: Sequence[Vec],
-                          scalars: Sequence[Fraction],
-                          config: SearchConfig = DEFAULT_CONFIG) -> ProbeReport:
-    """Check that translates and dilates of a certified-open set stay open."""
-    base = is_order_open(expr, config)
-    if base.status != "certified":
-        raise ValueError("probe needs a certified order-open set")
-    entries: list[ProbeEntry] = []
-    for a in shifts:
-        got = is_order_open(Translate(expr, a), config)
-        entries.append(ProbeEntry("translate", str(a), got.status))
-    for t in scalars:
-        got = is_order_open(Dilate(expr, rat(t)), config)
-        entries.append(ProbeEntry("dilate", str(rat(t)), got.status))
-    ok = all(e.status == "certified" for e in entries)
-    return ProbeReport(base.status, tuple(entries), ok)

@@ -407,3 +407,22 @@ def test_zero_denominator_in_a_document_is_input_error(tmp_path, capsys):
     code, text = run_cli(["fit", path])
     assert code == 1 and text == ""
     assert "error: $.task.fit.set: zero denominator" in capsys.readouterr().err
+
+
+def test_a_mode_that_is_not_a_string_is_an_input_error(tmp_path, capsys):
+    doc = counterexample_doc()
+    doc["task"]["check-set"]["mode"] = ["solid"]
+    path = write_doc(tmp_path, "doc.json", doc)
+    code, text = run_cli(["check-set", path])
+    assert code == 1 and text == ""
+    assert "error: $.task.check-set.mode: unknown mode ['solid']" in capsys.readouterr().err
+
+
+def test_a_theorem_id_that_is_not_a_string_is_an_input_error(tmp_path, capsys):
+    path = write_doc(tmp_path, "doc.json", {
+        "carrier": {"kind": "tailseq"},
+        "task": {"theorem": {"id": ["t1"]}},
+    })
+    code, text = run_cli(["theorems", path])
+    assert code == 1 and text == ""
+    assert "error: $.task.theorem.id: unknown theorem id ['t1']" in capsys.readouterr().err

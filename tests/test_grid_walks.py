@@ -1,18 +1,20 @@
-"""The lazy grid walks give exactly what the eager walks gave.
+"""The lazy grid walk gives exactly what the eager walk gave, and the
+closure search reports exactly what it tried.
 
-``_chain_probes`` and ``check_solid`` walk the cached probe grid and test
-membership only where the walk reaches.  The eager versions below test
-every grid point first; they are kept here as references, and both walks
-must agree with them on chains, statuses, witnesses and pair counts.
+``check_solid`` walks the cached probe grid and tests membership only where
+the walk reaches.  The eager version below tests every grid point first; it
+is kept here as a reference, and the walk must agree with it on statuses,
+witnesses and pair counts.  Over the same catalogue, every closure verdict
+is replayed against the candidate list: a refutation is the first candidate
+that ``_try_witness`` accepts, and an unknown report counts every candidate,
+none of which refutes.
 """
 
 from fractions import Fraction
 
 import pytest
 
-import ordertopo.topology as topology
 from ordertopo.carriers import TAIL_SEQ, Vec, findim, leq, ones, scale, unit, zero
-from ordertopo.families import Explicit
 from ordertopo.ordersets import (
     MAX_SOLID_PAIRS,
     Band,
@@ -31,22 +33,17 @@ from ordertopo.ordersets import (
     member,
     open_interval,
 )
-from ordertopo.topology import _chain_probes, normalize_expr
+from ordertopo.topology import (
+    DEFAULT_CONFIG,
+    _try_witness,
+    _witness_candidates,
+    check_order_closed,
+    check_quasi_order_closed,
+    normalize_expr,
+)
 
 F = Fraction
 CARRIERS = [findim(1), findim(2), findim(3), findim(4), TAIL_SEQ]
-
-
-def eager_chain_probes(expr, carrier):
-    points = [p for p in grid_vectors(carrier) if member(expr, p)]
-    chains = []
-    for start in points:
-        if len(chains) >= topology.MAX_CHAINS:
-            break
-        above = next((q for q in points if q != start and leq(start, q)), None)
-        if above is not None:
-            chains.append(Explicit((start, above)))
-    return chains
 
 
 def eager_check_solid(expr):
@@ -93,12 +90,32 @@ def catalogue(carrier):
 CASES = [(c, s) for c in CARRIERS for s in catalogue(c)]
 
 
+# (closed set, check, whether non-monotone families may refute) per mode
+MODES = {
+    "quasi": (lambda s: s, check_quasi_order_closed, False),
+    "order": (lambda s: s, check_order_closed, True),
+    "open": (Complement, check_quasi_order_closed, False),
+}
+
+
 @pytest.mark.parametrize("carrier, expr", CASES)
-def test_chain_probes_match_the_eager_walk(carrier, expr, monkeypatch):
-    norm = normalize_expr(expr)
-    for max_chains in (0, 1, 4, 9):
-        monkeypatch.setattr(topology, "MAX_CHAINS", max_chains)
-        assert _chain_probes(norm, carrier) == eager_chain_probes(norm, carrier)
+def test_the_search_reports_what_it_tried(carrier, expr):
+    for mode, (closed_set, check, nonmonotone) in MODES.items():
+        target = closed_set(expr)
+        got = check(target)
+        if got.status == "certified":
+            continue
+        norm = normalize_expr(target)
+        searched = carrier_of(norm)  # a set without a vector is not searched
+        candidates = [] if searched is None else _witness_candidates(
+            norm, searched, DEFAULT_CONFIG, nonmonotone)
+        hits = (_try_witness(norm, fam, nonmonotone) for fam in candidates)
+        first = next((hit for hit in hits if hit is not None), None)
+        if got.status == "refuted":
+            assert got.witness == first, mode
+        else:
+            assert first is None, mode
+            assert got.search_report.candidates == len(candidates), mode
 
 
 @pytest.mark.parametrize("carrier, expr", CASES)
@@ -110,22 +127,6 @@ def test_check_solid_matches_the_eager_walk(carrier, expr):
 def test_catalogue_reaches_every_solidity_outcome():
     statuses = {check_solid(s).status for _, s in CASES}
     assert statuses == {"certified", "refuted", "unknown"}
-
-
-def test_chain_probes_test_membership_only_where_the_walk_reaches(monkeypatch):
-    calls = 0
-
-    def counting(expr, z):
-        nonlocal calls
-        calls += 1
-        return member(expr, z)
-
-    carrier = findim(4)
-    expr = normalize_expr(Complement(IntervalSet(open_interval(zero(carrier), ones(carrier)))))
-    monkeypatch.setattr(topology, "member", counting)
-    chains = _chain_probes(expr, carrier)
-    assert len(chains) == topology.MAX_CHAINS
-    assert calls < 100  # the eager walk tested all 2401 grid points
 
 
 def test_check_solid_takes_each_absolute_value_once(monkeypatch):

@@ -16,7 +16,6 @@ from ordertopo.ordersets import (
     TailZero,
     Translate,
     band_member,
-    carrier_atoms,
     check_solid,
     closed_interval,
     disjoint,
@@ -305,14 +304,11 @@ def test_is_atom_rejects_bad_inputs():
         is_atom(zero(findim(2)))
 
 
-def test_carrier_atoms():
-    rep = carrier_atoms(findim(3))
-    assert rep.atomic and len(rep.samples) == 3
-    assert all(is_atom(a) for a in rep.samples)
-    rep2 = carrier_atoms(TAIL_SEQ)
-    assert rep2.atomic
-    assert all(is_atom(a) for a in rep2.samples)
-    assert all(disjoint(a, b) for a in rep.samples for b in rep.samples if a != b)
+def test_unit_vectors_are_disjoint_atoms():
+    for carrier, n in ((findim(3), 3), (TAIL_SEQ, 4)):
+        units = [unit(carrier, j) for j in range(1, n + 1)]
+        assert all(is_atom(a) for a in units)
+        assert all(disjoint(a, b) for a in units for b in units if a != b)
 
 
 def test_disjoint():

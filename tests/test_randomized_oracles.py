@@ -133,15 +133,16 @@ def test_monotonicity_claims_hold_on_long_scans():
     for trial in range(120):
         carrier = findim(rng.randint(1, 3)) if rng.random() < 0.5 else TAIL_SEQ
         fam = random_family(rng, carrier)
-        mono = monotonicity(fam)
+        direction = monotonicity(fam).direction
         vals = list(values_iter(fam, index_base(fam) + 300))
-        if mono.direction == "decreasing":
-            assert all(leq(b, a) for a, b in zip(vals, vals[1:])), (trial, fam)
-        elif mono.direction == "increasing":
-            assert all(leq(a, b) for a, b in zip(vals, vals[1:])), (trial, fam)
+        down = all(leq(b, a) for a, b in zip(vals, vals[1:]))
+        up = all(leq(a, b) for a, b in zip(vals, vals[1:]))
+        if direction == "decreasing":
+            assert down, (trial, fam)
+        elif direction == "increasing":
+            assert up, (trial, fam)
         else:
-            k, a, b = mono.violations[0]
-            assert value(fam, k) == a and value(fam, k + 1) == b
+            assert not down and not up, (trial, fam)
 
 
 def test_convergence_certificates_validate_on_random_trees():
