@@ -1,13 +1,14 @@
-"""The lazy grid walk gives exactly what the eager walk gave, and the
-closure search reports exactly what it tried.
+"""The lazy walks give exactly what the eager walks give.
 
 ``check_solid`` walks the cached probe grid and tests membership only where
 the walk reaches.  The eager version below tests every grid point first; it
 is kept here as a reference, and the walk must agree with it on statuses,
-witnesses and pair counts.  Over the same catalogue, every closure verdict
-is replayed against the candidate list: a refutation is the first candidate
-that ``_try_witness`` accepts, and an unknown report counts every candidate,
-none of which refutes.
+witnesses and pair counts.  The closure search probes its candidate
+families lazily and stops at the first that refutes; over the same
+catalogue, every closure verdict is replayed by an eager walk over the whole
+candidate list: a refutation is the first candidate that ``_try_witness``
+accepts, and an unknown report counts every candidate, none of which
+refutes.
 """
 
 from fractions import Fraction
@@ -99,7 +100,7 @@ MODES = {
 
 
 @pytest.mark.parametrize("carrier, expr", CASES)
-def test_the_search_reports_what_it_tried(carrier, expr):
+def test_chain_probes_match_the_eager_walk(carrier, expr):
     for mode, (closed_set, check, nonmonotone) in MODES.items():
         target = closed_set(expr)
         got = check(target)
