@@ -152,13 +152,18 @@ def _require_same_carrier(x: Vec, y: Vec) -> None:
         raise CarrierMismatch(f"carriers differ: {x.carrier} vs {y.carrier}")
 
 
-def aligned(x: Vec, y: Vec) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Coordinate lists of equal length (tailseq prefixes padded with tails)."""
+def aligned(x: Vec, y: Vec, with_tail: bool = False
+            ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Coordinate lists of equal length (tailseq prefixes padded with tails).
+
+    ``with_tail`` appends each tailseq vector's tail once more, so that the
+    lists hold every position the order compares.
+    """
     if x.carrier is not y.carrier:
         _require_same_carrier(x, y)
     if x.tail is None:
         return x.coords, y.coords
-    n = max(len(x.coords), len(y.coords))
+    n = max(len(x.coords), len(y.coords)) + (1 if with_tail else 0)
     xs = x.coords + (x.tail,) * (n - len(x.coords))
     ys = y.coords + (y.tail,) * (n - len(y.coords))
     return xs, ys  # type: ignore[return-value]
@@ -175,34 +180,58 @@ def _zip_with(x: Vec, y: Vec, fn) -> Vec:
 # -- the lattice operations --------------------------------------------------
 
 
+# The order tests compare rationals by integer cross-products, skipping the
+# Fraction operator dispatch: a <= b iff a.num * b.den <= b.num * a.den,
+# exact because a Fraction's denominator is positive.
+
+
 def leq(x: Vec, y: Vec) -> bool:
     """Coordinatewise order (tail position included for tailseq)."""
-    xs, ys = aligned(x, y)
-    return all(map(operator.le, xs, ys)) and (x.tail is None or x.tail <= y.tail)
+    xs, ys = aligned(x, y, with_tail=True)
+    for a, b in zip(xs, ys):
+        if a.numerator * b.denominator > b.numerator * a.denominator:
+            return False
+    return True
 
 
 def strictly_everywhere_below(x: Vec, y: Vec) -> bool:
     """x < y in every coordinate, tail included."""
-    xs, ys = aligned(x, y)
-    return all(map(operator.lt, xs, ys)) and (x.tail is None or x.tail < y.tail)
+    xs, ys = aligned(x, y, with_tail=True)
+    for a, b in zip(xs, ys):
+        if a.numerator * b.denominator >= b.numerator * a.denominator:
+            return False
+    return True
 
 
 def within(v: Vec, c: Vec, r: Vec) -> bool:
-    """|v - c| <= r coordinatewise; on findim no vector is built."""
+    """|v - c| <= r coordinatewise, tail included; no vector is built.
+
+    Per position, |a - b| <= e is |a.num*b.den - b.num*a.den| * e.den <=
+    e.num * a.den * b.den, with every denominator positive.
+    """
+    for u in (c, r):
+        if u.carrier is not v.carrier:
+            _require_same_carrier(v, u)
+    vs, cs, rs = v.coords, c.coords, r.coords
     if v.tail is not None:
-        return leq(abs(v - c), r)
-    vs, cs = aligned(v, c)
-    _, rs = aligned(v, r)
-    return all(map(operator.le, map(abs, map(operator.sub, vs, cs)), rs))
+        n = max(len(vs), len(cs), len(rs)) + 1
+        vs, cs, rs = (u.coords + (u.tail,) * (n - len(u.coords)) for u in (v, c, r))
+    for a, b, e in zip(vs, cs, rs):
+        ad, bd = a.denominator, b.denominator
+        if abs(a.numerator * bd - b.numerator * ad) * e.denominator > e.numerator * ad * bd:
+            return False
+    return True
 
 
 def add_scaled(c: Vec, t: Fraction, p: Vec) -> Vec:
-    """c + t*p in one pass; where p is zero, c's coordinate is kept as is."""
+    """c + t*p in one pass; where p is zero, c's coordinate is kept as is,
+    and where c is zero, the coordinate is t*p's."""
     cs, ps = aligned(c, p)
-    coords = tuple(a + t * b if b else a for a, b in zip(cs, ps))
+    coords = tuple((a + t * b if a else t * b) if b else a for a, b in zip(cs, ps))
     if c.tail is None:
         return Vec(c.carrier, coords)
-    return Vec(c.carrier, coords, c.tail + t * p.tail if p.tail else c.tail)
+    a, b = c.tail, p.tail
+    return Vec(c.carrier, coords, (a + t * b if a else t * b) if b else a)
 
 
 def sup(x: Vec, y: Vec) -> Vec:

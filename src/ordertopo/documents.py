@@ -203,7 +203,7 @@ def _run_check_set(doc: ProblemDoc) -> RunResult:
             lines.append(f"witness inside: {x}")
             lines.append(f"dominated outside: {y}")
     elif isinstance(mode, str) and mode in CHECK_MODES:
-        verdict = CHECK_MODES[mode](expr, doc.config)
+        verdict = CHECK_MODES[mode](expr, doc.config, doc.carrier)
         body = verdict_to_json(verdict)
         lines.append(f"status: {verdict.status}")
         if verdict.status == "certified":

@@ -298,6 +298,10 @@ class Monotonicity:
 MONOTONICITY_HORIZON = 24  # consecutive pairs the exact cross-check compares
 
 
+# one exact cross-check per family: the check is deterministic and the family
+# immutable, a contradiction raises (and is not cached), and the bound keeps
+# a long-lived process at a fixed footprint, as for ``form_of``
+@functools.lru_cache(maxsize=256)
 def monotonicity(F: Family) -> Monotonicity:
     """Template-level direction, cross-checked exactly up to a horizon when
     the template claims one; ``_direction_rule`` decides "neither" exactly."""

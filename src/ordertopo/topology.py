@@ -252,14 +252,15 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
         directions.append(unit(carrier, j))
         directions.append(-unit(carrier, j))
     gs = config.grid_scale
+    steps = [scale(gs, p) for p in directions]
     for center in anchors:
-        for p in directions:
-            out.append(CoordDecay(center, scale(gs, p)))
+        for p in steps:
+            out.append(CoordDecay(center, p))
     if include_nonmonotone and span >= 2:
+        mixed = [scale(gs, unit(carrier, i) - unit(carrier, i + 1)) for i in range(1, span)]
         for center in anchors:
-            for i in range(1, span):
-                mixed = unit(carrier, i) - unit(carrier, i + 1)
-                out.append(CoordDecay(center, scale(gs, mixed)))
+            for p in mixed:
+                out.append(CoordDecay(center, p))
     for g in anchors:
         ag = abs(g)
         if ag.is_zero():
@@ -295,13 +296,15 @@ def _try_witness(expr: SetExpr, family: Family,
     return ClosureWitness(family, "order-convergent", limit, ev.index, certificate)
 
 
-def _closure_check(expr: SetExpr, config: SearchConfig,
-                   include_nonmonotone: bool) -> Verdict:
+def _closure_check(expr: SetExpr, config: SearchConfig, include_nonmonotone: bool,
+                   carrier: Optional[Carrier]) -> Verdict:
+    """Rules first, then the witness search; ``carrier`` is searched when the
+    set names no vector of its own."""
     norm = normalize_expr(expr)
     trace = _certify_closed(norm)
     if trace is not None:
         return Verdict("certified", tuple(trace))
-    carrier = carrier_of(norm)
+    carrier = carrier_of(norm) or carrier
     if carrier is None:
         return Verdict("unknown",
                        search_report=SearchReport(0, "no carrier to search"))
@@ -316,21 +319,25 @@ def _closure_check(expr: SetExpr, config: SearchConfig,
     return Verdict("unknown", search_report=SearchReport(count, grids))
 
 
-def check_quasi_order_closed(expr: SetExpr,
-                             config: SearchConfig = DEFAULT_CONFIG) -> Verdict:
-    """Certify or refute closedness under monotone order limits."""
-    return _closure_check(expr, config, include_nonmonotone=False)
+def check_quasi_order_closed(expr: SetExpr, config: SearchConfig = DEFAULT_CONFIG,
+                             carrier: Optional[Carrier] = None) -> Verdict:
+    """Certify or refute closedness under monotone order limits.
+
+    ``carrier`` is the space to search when the set names no vector.
+    """
+    return _closure_check(expr, config, include_nonmonotone=False, carrier=carrier)
 
 
-def check_order_closed(expr: SetExpr,
-                       config: SearchConfig = DEFAULT_CONFIG) -> Verdict:
+def check_order_closed(expr: SetExpr, config: SearchConfig = DEFAULT_CONFIG,
+                       carrier: Optional[Carrier] = None) -> Verdict:
     """Like the quasi check, but witnesses may be any order-convergent family."""
-    return _closure_check(expr, config, include_nonmonotone=True)
+    return _closure_check(expr, config, include_nonmonotone=True, carrier=carrier)
 
 
-def is_order_open(expr: SetExpr, config: SearchConfig = DEFAULT_CONFIG) -> Verdict:
+def is_order_open(expr: SetExpr, config: SearchConfig = DEFAULT_CONFIG,
+                  carrier: Optional[Carrier] = None) -> Verdict:
     """Openness in the quasi-order topology: the complement must be closed."""
-    return check_quasi_order_closed(Complement(expr), config)
+    return check_quasi_order_closed(Complement(expr), config, carrier)
 
 
 REPLAY_HORIZON = 64  # indices from in_set_from whose membership is replayed

@@ -4,14 +4,20 @@ The reference functions below are the implementations the kernels
 replaced: generator expressions and lambdas over padded coordinate lists.
 Every kernel must give the same vectors and the same truth values on
 seeded random inputs, including zero coefficients, decay offsets q > 0
-and tails that equal the last prefix entry.
+and tails that equal the last prefix entry.  The order tests and ``within``
+compare by integer cross-products; ``hypothesis`` checks them against the
+Fraction operators as well, derandomized and without an example database.
 """
 
 import operator
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from ordertopo.carriers import (
     TAIL_SEQ,
@@ -19,12 +25,14 @@ from ordertopo.carriers import (
     CarrierMismatch,
     Vec,
     add_scaled,
+    constant,
     findim,
     inf,
     leq,
     strictly_everywhere_below,
     sup,
     within,
+    zero,
 )
 from ordertopo.families import (
     Certificate,
@@ -173,6 +181,74 @@ def test_within_matches_the_abs_difference_test():
             assert got == ref_dominated(v, c, r)
             outcomes.add((carrier.kind, got))
     assert len(outcomes) == 4
+
+
+# -- integer cross-products against the Fraction operators --------------------------
+
+properties = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+set_hypothesis_home_dir(os.devnull)  # as in test_record_properties: no cache files
+
+HUGE = 2**64
+# negatives, zero, repeats (so that equal values come up often) and
+# denominators above 2**64
+rationals = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 2)]),
+    st.fractions(-3, 3, max_denominator=5),
+    st.builds(F, st.integers(-HUGE * 8, HUGE * 8), st.integers(HUGE + 1, HUGE * 4)),
+)
+
+
+@st.composite
+def vector_triples(draw):
+    """Three vectors of one carrier; on tailseq their prefixes have three
+    different lengths."""
+    carrier = draw(st.sampled_from(CARRIERS))
+    if carrier.kind == "findim":
+        return [Vec(carrier, tuple(draw(st.lists(rationals, min_size=carrier.dim,
+                                                 max_size=carrier.dim))))
+                for _ in range(3)]
+    vecs = []
+    for n in draw(st.permutations([0, 1, 3])):
+        tail = draw(rationals)
+        prefix = draw(st.lists(rationals, min_size=n, max_size=n))
+        if prefix and prefix[-1] == tail:
+            prefix[-1] = tail + 1  # keep the length through canonicalization
+        vecs.append(Vec(carrier, tuple(prefix), tail))
+    assert len({v.prefix_len for v in vecs}) == 3
+    return vecs
+
+
+@properties
+@given(vector_triples())
+def test_order_tests_match_the_fraction_operators(vecs):
+    x, y, z = vecs
+    for a, b in ((x, y), (y, x), (x, x), (x, z), (x, x + abs(y)), (x, sup(x, z))):
+        assert leq(a, b) == ref_leq(a, b)
+        assert strictly_everywhere_below(a, b) == ref_strictly_everywhere_below(a, b)
+
+
+@properties
+@given(vector_triples(), st.sampled_from([F(0), F(1, HUGE * 3), F(1, 2), F(-1, 7)]))
+def test_within_matches_the_fraction_operators(vecs, nudge):
+    v, c, r = vecs
+    dev = ref_map(ref_zip_with(v, c, lambda a, b: a - b), abs)
+    # r as drawn (negative entries too), the exact deviation, and the
+    # deviation moved by a tiny, a plain and a negative amount
+    for radius in (r, abs(r), dev, dev + abs(r) * nudge, dev + r * nudge):
+        for args in ((v, c, radius), (c, v, radius), (v, v, radius)):
+            assert within(*args) == ref_dominated(*args)
+
+
+def test_cross_products_separate_rationals_a_huge_denominator_apart():
+    tiny = F(1, 3 * HUGE + 1)
+    for carrier in CARRIERS:
+        x = constant(carrier, F(-5, 3))
+        y = constant(carrier, F(-5, 3) + tiny)
+        assert leq(x, y) and not leq(y, x)
+        assert strictly_everywhere_below(x, y) and not strictly_everywhere_below(y, x)
+        assert within(y, x, constant(carrier, tiny))
+        assert not within(y, x, constant(carrier, tiny / 2))
+        assert within(x, x, zero(carrier)) and not within(y, x, zero(carrier))
 
 
 # -- errors ------------------------------------------------------------------------

@@ -426,3 +426,21 @@ def test_a_theorem_id_that_is_not_a_string_is_an_input_error(tmp_path, capsys):
     code, text = run_cli(["theorems", path])
     assert code == 1 and text == ""
     assert "error: $.task.theorem.id: unknown theorem id ['t1']" in capsys.readouterr().err
+
+
+def test_a_set_that_names_no_vector_is_searched_in_the_document_carrier(tmp_path):
+    path = write_doc(tmp_path, "doc.json", {
+        "carrier": {"kind": "findim", "dim": 2},
+        "task": {"check-set": {
+            "set": {"complement": {"half-space": {"coord": 1, "relation": "le",
+                                                  "bound": "0"}}},
+            "mode": "order-closed",
+        }},
+    })
+    out_path = tmp_path / "report.json"
+    code, text = run_cli(["check-set", path, "--output", str(out_path)])
+    assert code == 0
+    assert "status: refuted" in text
+    assert "witness: decreasing family, limit (0, 0), in set from 0, limit outside" in text
+    witness = json.loads(out_path.read_text())["verdict"]["witness"]
+    assert witness["in_set_from"] == 0

@@ -18,6 +18,7 @@ from ordertopo.families import (
     Certificate,
     CoordDecay,
     Explicit,
+    Monotonicity,
     Refutation,
     Scale,
     Shift,
@@ -110,6 +111,39 @@ def test_running_sup_meet_always_increasing():
     base = Explicit((Vec.fin([0, 2]), Vec.fin([1, 0])))
     f = running_sup_meet(base, Vec.fin([1, 1]))
     assert monotonicity(f).direction == "increasing"
+
+
+def test_monotonicity_checks_each_family_once():
+    f = CoordDecay(Vec.fin([1, F(1, 3)]), Vec.fin([2, F(1, 2)]), F(1, 4))
+    monotonicity.cache_clear()
+    first = monotonicity(f)
+    hits = monotonicity.cache_info().hits
+    again = monotonicity(CoordDecay(Vec.fin([1, F(1, 3)]), Vec.fin([2, F(1, 2)]), F(1, 4)))
+    assert monotonicity.cache_info().hits == hits + 1
+    assert again == first == Monotonicity("decreasing", "all decay directions nonnegative")
+    assert monotonicity.cache_info().maxsize == 256
+
+
+def test_a_contradicted_rule_still_raises_after_a_cache_clear(monkeypatch):
+    import ordertopo.families as families
+
+    f = CoordDecay(Vec.fin([0, 1]), Vec.fin([1, 2]))
+    assert monotonicity(f).direction == "decreasing"  # cached
+    real = families.values_iter
+
+    def broken(F, upto, lo=None):
+        # the values run backwards: every step goes up
+        return reversed(list(real(F, upto, lo)))
+
+    monkeypatch.setattr(families, "values_iter", broken)
+    assert monotonicity(f).direction == "decreasing"  # a hit runs no scan
+    monotonicity.cache_clear()
+    for _ in range(2):  # the exception is not cached
+        with pytest.raises(AssertionError, match="template rule contradicted"):
+            monotonicity(f)
+    monkeypatch.undo()
+    monotonicity.cache_clear()
+    assert monotonicity(f).direction == "decreasing"
 
 
 # -- order limits ----------------------------------------------------------------
@@ -307,6 +341,7 @@ def test_value_of_nested_running_sup_is_linear(monkeypatch):
         return real(F, k)
 
     monkeypatch.setattr(families, "value", counting)
+    monotonicity.cache_clear()
     inner = running_sup_meet(CoordDecay(Vec.fin([0, 1]), Vec.fin([2, -3])), Vec.fin([1, 1]))
     f = running_sup_meet(inner, Vec.fin([F(1, 2), 1]))
     got = families.value(f, 200)
@@ -326,6 +361,7 @@ def test_scans_of_nested_running_sup_are_linear(monkeypatch):
         return real(F, k)
 
     monkeypatch.setattr(families, "value", counting)
+    monotonicity.cache_clear()
     n = 200
     base = Explicit(tuple(Vec.fin([F(k, n), F(k * 7 % 11, 11)]) for k in range(n)))
     f = running_sup_meet(running_sup_meet(base, Vec.fin([1, 1])), Vec.fin([1, 1]))
@@ -360,6 +396,7 @@ def _count_value_calls(monkeypatch, only=None):
         return real(F, k)
 
     monkeypatch.setattr(families, "value", counting)
+    monotonicity.cache_clear()
     return counter
 
 
@@ -433,6 +470,7 @@ def test_running_sup_walk_survives_an_interrupted_step(monkeypatch):
     # capped step of one index
     for name, fn in (("value", families.value), ("inf", families.inf)):
         _walk.cache_clear()
+        monotonicity.cache_clear()
         monkeypatch.setattr(families, name, stop_at_call(fn, 30))
         with pytest.raises(Stop):
             list(values_iter(f, 59))

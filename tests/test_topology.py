@@ -241,6 +241,23 @@ def test_unknown_search_report_counts_the_candidates_tried(carrier, max_candidat
         f"templates={count} lambdas=['1/2', '1/3'] gen_scales=['1/2', '1', '2'] scale=1")
 
 
+def test_a_set_that_names_no_vector_is_searched_in_the_given_carrier():
+    # x1 > 0 names no vector; the search's first candidate, CoordDecay(0, ones),
+    # decreases to 0 inside it
+    positive = Complement(HalfSpace(1, "le", F(0)))
+    f2 = findim(2)
+    alone = check_order_closed(positive)
+    assert alone.status == "unknown" and alone.search_report.candidates == 0
+    for got in (check_order_closed(positive, carrier=f2),
+                check_quasi_order_closed(positive, carrier=f2),
+                is_order_open(HalfSpace(1, "le", F(0)), carrier=f2)):
+        assert got.status == "refuted"
+        w = got.witness
+        assert (w.mode, w.limit, w.in_set_from) == ("decreasing", zero(f2), 0)
+        assert w.family.c == zero(f2) and w.family.p == ones(f2)
+        assert replay_witness(positive, w)
+
+
 def test_every_search_refutation_replays():
     f2 = findim(2)
     lower_right = Intersection((
