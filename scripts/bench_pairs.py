@@ -1,15 +1,15 @@
 """Alternating benchmark pairs: a parent revision against the working tree.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --seeds 1901-1910 \
-        --workloads converge search cli --out BENCH_18.json
+    python3 scripts/bench_pairs.py --parent HEAD~1 --seeds 1901-1910 --out BENCH_18.json
 
 The parent revision is extracted with ``git archive REV | tar -x`` and the
 working tree is copied (tracked and untracked files, ignored ones left
 out), each into a fresh temporary directory, so both sides start without
-build products and ``.git`` is never touched.  For every workload and seed
-the two sides run ``perfbench/run.py --seconds N --trace 0`` one after the
-other; which side goes first alternates from seed to seed, so a drift of the
-host's speed falls on both sides alike.
+build products and ``.git`` is never touched.  For every workload of
+``BENCHMARK.json`` and every seed the two sides run ``perfbench/run.py
+--seconds N --trace 0``, N being its ``run_seconds``, one after the other;
+which side goes first alternates from seed to seed, so a drift of the host's
+speed falls on both sides alike.
 
 The output holds, for every end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the relative change of the median and the
@@ -122,8 +122,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="alternating benchmark pairs, parent vs tree")
     p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--seeds", required=True, nargs="+", help='seeds, e.g. 1901-1910 1950')
-    p.add_argument("--workloads", nargs="+", default=["converge", "search", "cli"])
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--out", required=True, help="where to write the BENCH_<n>.json summary")
     args = p.parse_args(argv)
     seeds = parse_seeds(args.seeds)
@@ -132,19 +130,20 @@ def main(argv=None) -> int:
                           capture_output=True, text=True).stdout.strip()
     parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent], check=True,
                             capture_output=True, text=True).stdout.strip()
-    report = {"parent": parent, "tree": f"working tree over {head}", "seconds": args.seconds,
+    seconds = spec["run_seconds"]
+    report = {"parent": parent, "tree": f"working tree over {head}", "seconds": seconds,
               "seeds": seeds, "python": platform.python_version(),
               "host": f"{platform.machine()}, {platform.system()}", "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         dirs = {"parent": Path(tmp) / "parent", "tree": Path(tmp) / "tree"}
         extract_parent(args.parent, dirs["parent"])
         copy_tree(dirs["tree"])
-        for workload in args.workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for n, seed in enumerate(seeds):
                 pair = {}
                 for side in (SIDES if n % 2 == 0 else SIDES[::-1]):
-                    pair[side] = run_once(dirs[side], workload, seed, args.seconds)
+                    pair[side] = run_once(dirs[side], workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: "
                           f"{pair[side].get('error') or pair[side]['metrics']}", flush=True)
                 pairs.append({"seed": seed, "first": "parent" if n % 2 == 0 else "tree", **pair})

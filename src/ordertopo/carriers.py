@@ -152,21 +152,24 @@ def _require_same_carrier(x: Vec, y: Vec) -> None:
         raise CarrierMismatch(f"carriers differ: {x.carrier} vs {y.carrier}")
 
 
+def _padded(v: Vec, n: int) -> tuple[Fraction, ...]:
+    """The first n positions of a tailseq vector (its prefix, then its tail)."""
+    return v.coords + (v.tail,) * (n - len(v.coords))  # type: ignore[operator]
+
+
 def aligned(x: Vec, y: Vec, with_tail: bool = False
             ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Coordinate lists of equal length (tailseq prefixes padded with tails).
 
-    ``with_tail`` appends each tailseq vector's tail once more, so that the
-    lists hold every position the order compares.
+    ``with_tail`` pads one position further, so that the lists end with the
+    tails and hold every position the order compares.
     """
     if x.carrier is not y.carrier:
         _require_same_carrier(x, y)
     if x.tail is None:
         return x.coords, y.coords
     n = max(len(x.coords), len(y.coords)) + (1 if with_tail else 0)
-    xs = x.coords + (x.tail,) * (n - len(x.coords))
-    ys = y.coords + (y.tail,) * (n - len(y.coords))
-    return xs, ys  # type: ignore[return-value]
+    return _padded(x, n), _padded(y, n)
 
 
 def _zip_with(x: Vec, y: Vec, fn) -> Vec:
@@ -215,7 +218,7 @@ def within(v: Vec, c: Vec, r: Vec) -> bool:
     vs, cs, rs = v.coords, c.coords, r.coords
     if v.tail is not None:
         n = max(len(vs), len(cs), len(rs)) + 1
-        vs, cs, rs = (u.coords + (u.tail,) * (n - len(u.coords)) for u in (v, c, r))
+        vs, cs, rs = _padded(v, n), _padded(c, n), _padded(r, n)
     for a, b, e in zip(vs, cs, rs):
         ad, bd = a.denominator, b.denominator
         if abs(a.numerator * bd - b.numerator * ad) * e.denominator > e.numerator * ad * bd:
@@ -224,14 +227,12 @@ def within(v: Vec, c: Vec, r: Vec) -> bool:
 
 
 def add_scaled(c: Vec, t: Fraction, p: Vec) -> Vec:
-    """c + t*p in one pass; where p is zero, c's coordinate is kept as is,
-    and where c is zero, the coordinate is t*p's."""
+    """c + t*p in one pass; where p is zero, c's coordinate is kept as is."""
     cs, ps = aligned(c, p)
-    coords = tuple((a + t * b if a else t * b) if b else a for a, b in zip(cs, ps))
+    coords = tuple(a + t * b if b else a for a, b in zip(cs, ps))
     if c.tail is None:
         return Vec(c.carrier, coords)
-    a, b = c.tail, p.tail
-    return Vec(c.carrier, coords, (a + t * b if a else t * b) if b else a)
+    return Vec(c.carrier, coords, c.tail + t * p.tail if p.tail else c.tail)
 
 
 def sup(x: Vec, y: Vec) -> Vec:

@@ -251,7 +251,7 @@ def carrier_of(expr: SetExpr) -> Optional[Carrier]:
     """The shared carrier of all embedded vectors (None if there are none)."""
     vecs = collect_vectors(expr)
     if not vecs:
-        return TAIL_SEQ if _mentions_tail(expr) else None
+        return TAIL_SEQ if "tail" in named_coords(expr) else None
     carrier = vecs[0].carrier
     for v in vecs[1:]:
         if v.carrier != carrier:
@@ -259,18 +259,19 @@ def carrier_of(expr: SetExpr) -> Optional[Carrier]:
     return carrier
 
 
-def _mentions_tail(expr: SetExpr) -> bool:
+def named_coords(expr: SetExpr) -> set[CoordLabel]:
+    """The coordinates the half-spaces name, and "tail" if a tail-zero occurs."""
     if isinstance(expr, TailZero):
-        return True
+        return {"tail"}
     if isinstance(expr, HalfSpace):
-        return expr.coord == "tail"
+        return {expr.coord}
     if isinstance(expr, Complement):
-        return _mentions_tail(expr.inner)
+        return named_coords(expr.inner)
     if isinstance(expr, (Union, Intersection)):
-        return any(_mentions_tail(p) for p in expr.parts)
+        return set().union(*map(named_coords, expr.parts))
     if isinstance(expr, (Translate, Dilate)):
-        return _mentions_tail(expr.inner)
-    return False
+        return named_coords(expr.inner)
+    return set()
 
 
 # -- ideals, bands, hulls ------------------------------------------------------

@@ -72,6 +72,7 @@ from .ordersets import (
     collect_vectors,
     interval_contains,
     member,
+    named_coords,
     open_interval,
 )
 from .records import record
@@ -299,12 +300,18 @@ def _try_witness(expr: SetExpr, family: Family,
 def _closure_check(expr: SetExpr, config: SearchConfig, include_nonmonotone: bool,
                    carrier: Optional[Carrier]) -> Verdict:
     """Rules first, then the witness search; ``carrier`` is searched when the
-    set names no vector of its own."""
+    set names no vector of its own, and must hold every coordinate it names."""
     norm = normalize_expr(expr)
     trace = _certify_closed(norm)
     if trace is not None:
         return Verdict("certified", tuple(trace))
-    carrier = carrier_of(norm) or carrier
+    named = carrier_of(norm)
+    if named is None and carrier is not None and carrier.kind == "findim":
+        # without a vector or the tail, the set names only integer coordinates
+        outside = sorted(j for j in named_coords(norm) if j > carrier.dim)
+        if outside:
+            raise ValueError(f"coordinate {outside[0]} outside the carrier {carrier}")
+    carrier = named or carrier
     if carrier is None:
         return Verdict("unknown",
                        search_report=SearchReport(0, "no carrier to search"))
@@ -323,7 +330,8 @@ def check_quasi_order_closed(expr: SetExpr, config: SearchConfig = DEFAULT_CONFI
                              carrier: Optional[Carrier] = None) -> Verdict:
     """Certify or refute closedness under monotone order limits.
 
-    ``carrier`` is the space to search when the set names no vector.
+    ``carrier`` is the space to search when the set names no vector; a
+    half-space coordinate outside it raises ValueError.
     """
     return _closure_check(expr, config, include_nonmonotone=False, carrier=carrier)
 

@@ -258,6 +258,14 @@ def test_a_set_that_names_no_vector_is_searched_in_the_given_carrier():
         assert replay_witness(positive, w)
 
 
+def test_a_given_carrier_must_hold_the_coordinates_the_set_names():
+    with pytest.raises(ValueError, match="coordinate 3 outside the carrier Q\\^2"):
+        is_order_open(HalfSpace(3, "le", F(0)), carrier=findim(2))
+    # the tail names the tailseq carrier itself, so the given one is not searched
+    got = is_order_open(HalfSpace("tail", "le", F(0)), carrier=findim(2))
+    assert got.status == "refuted" and got.witness.limit.carrier == TAIL_SEQ
+
+
 def test_every_search_refutation_replays():
     f2 = findim(2)
     lower_right = Intersection((
