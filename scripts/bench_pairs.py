@@ -13,8 +13,11 @@ speed falls on both sides alike.
 
 The output holds, for every end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the relative change of the median and the
-pairs the tree won, and per side the documents attempted and failed.  Only
-the standard library is used.
+pairs the tree won; per side the documents attempted and failed and the
+runs that erred; and per workload the pairs whose report digests are equal.
+A run that failed, or that its checker found incorrect (``"correct":
+false``), counts as an error and is left out of the medians.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "tree")
+DIGEST_LINE = "digest[plain, first 100 reports]: "
 
 
 def parse_seeds(items: list[str]) -> list[int]:
@@ -63,7 +67,8 @@ def copy_tree(dest: Path) -> None:
 
 
 def run_once(side_dir: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last JSON line of one run.py run, or {"error": ...} if it failed."""
+    """The last JSON line of one run.py run with its digest line under
+    "digest", or {"error": ...} if it failed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     try:
@@ -74,7 +79,13 @@ def run_once(side_dir: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["digest"] = next((line for line in lines if line.startswith(DIGEST_LINE)), None)
+    return result
+
+
+def erred(result: dict) -> bool:
+    return "error" in result or result.get("correct") is False
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -87,22 +98,28 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
     """Per-metric medians, quartiles and pairs won, over complete pairs.
 
     ``pairs`` holds one {"parent": result, "tree": result} per seed, each
-    result being run.py's JSON line or {"error": ...}.  A pair counts only
-    if both sides report the metric; the tree wins it when its value is
-    strictly better in the metric's direction.
+    result being run.py's JSON line (with its digest line) or {"error": ...}.
+    A pair counts only if neither side erred and both report the metric; the
+    tree wins it when its value is strictly better in the metric's
+    direction.  ``digests_equal`` counts the pairs whose two digest lines
+    are present and equal.
     """
-    out = {"pairs": len(pairs), "metrics": {}}
+    out = {"pairs": len(pairs), "metrics": {},
+           "digests_equal": sum(p["parent"].get("digest") is not None
+                                and p["parent"].get("digest") == p["tree"].get("digest")
+                                for p in pairs)}
     for side in SIDES:
         results = [p[side] for p in pairs]
         out[side] = {"runs": len(results),
-                     "errors": sum("error" in r for r in results),
+                     "errors": sum(map(erred, results)),
                      "attempted": sum(r.get("attempted", 0) for r in results),
                      "failed": sum(r.get("failed", 0) for r in results)}
+    clean = [p for p in pairs if not any(erred(p[side]) for side in SIDES)]
     for metric in spec["end_to_end"]:
         name = metric["name"]
         both = [(p["parent"]["metrics"][name]["value"], p["tree"]["metrics"][name]["value"])
-                for p in pairs
-                if all(name in p[side].get("metrics", {}) for side in SIDES)]
+                for p in clean
+                if all(name in p[side]["metrics"] for side in SIDES)]
         if not both:
             continue
         higher = metric["better"] == "higher"

@@ -197,6 +197,19 @@ def leq(x: Vec, y: Vec) -> bool:
     return True
 
 
+def strictly_below_partial(x: Vec, y: Vec) -> bool:
+    """x <= y and x != y in one pass: <= everywhere, < somewhere, tail included."""
+    xs, ys = aligned(x, y, with_tail=True)
+    below = False
+    for a, b in zip(xs, ys):
+        lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
+        if lhs > rhs:
+            return False
+        if lhs < rhs:
+            below = True
+    return below
+
+
 def strictly_everywhere_below(x: Vec, y: Vec) -> bool:
     """x < y in every coordinate, tail included."""
     xs, ys = aligned(x, y, with_tail=True)
@@ -227,12 +240,23 @@ def within(v: Vec, c: Vec, r: Vec) -> bool:
 
 
 def add_scaled(c: Vec, t: Fraction, p: Vec) -> Vec:
-    """c + t*p in one pass; where p is zero, c's coordinate is kept as is."""
-    cs, ps = aligned(c, p)
-    coords = tuple(a + t * b if b else a for a, b in zip(cs, ps))
+    """c + t*p in one pass, tail included; where p is zero, c's own value is kept.
+
+    Elsewhere a + t*b is (a.num*t.den*b.den + t.num*b.num*a.den) /
+    (a.den*t.den*b.den), computed in integers and normalized once by
+    ``Fraction(n, d)``, without the Fraction operators' dispatch.
+    """
+    cs, ps = aligned(c, p, with_tail=True)
+    tn, td = t.numerator, t.denominator
+    out = []
+    for a, b in zip(cs, ps):
+        if b:
+            ad, bd = a.denominator, td * b.denominator
+            a = Fraction(a.numerator * bd + tn * b.numerator * ad, ad * bd)
+        out.append(a)
     if c.tail is None:
-        return Vec(c.carrier, coords)
-    return Vec(c.carrier, coords, c.tail + t * p.tail if p.tail else c.tail)
+        return Vec(c.carrier, tuple(out))
+    return Vec(c.carrier, tuple(out[:-1]), out[-1])
 
 
 def sup(x: Vec, y: Vec) -> Vec:

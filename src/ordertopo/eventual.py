@@ -103,7 +103,9 @@ class Harmonic:
     q: Fraction
 
     def at(self, k: int) -> Fraction:
-        return Fraction(1) / (k + 1 + self.q)
+        # with q = p/s: 1/(k+1+q) = s/((k+1)*s + p), normalized once
+        s = self.q.denominator
+        return Fraction(s, (k + 1) * s + self.q.numerator)
 
     def first_below(self, t: Fraction, start: int) -> int:
         """Least k >= start with 1/(k+1+q) < t, solved exactly."""
@@ -323,7 +325,7 @@ def make_shift_form(fixed, head, tailv, start) -> Form:
     fixed = tuple(rat(f) for f in fixed)
     head, tailv = rat(head), rat(tailv)
     if head == tailv:
-        return ConstForm(Vec.seq(fixed, head), max(start, len(fixed)))
+        return ConstForm(Vec(TAIL_SEQ, fixed, head), max(start, len(fixed)))
     return ShiftForm(fixed, head, tailv, start)
 
 
@@ -348,7 +350,7 @@ def form_eval(form: Form, k: int) -> Vec:
     if isinstance(form, MonoForm):
         return form.c + form.v * form.kernel.at(k)
     pad = (form.head,) * (k - len(form.fixed))
-    return Vec.seq(form.fixed + pad, form.tailv)
+    return Vec(TAIL_SEQ, form.fixed + pad, form.tailv)
 
 
 def form_limit(form: Form) -> Vec:
@@ -357,7 +359,7 @@ def form_limit(form: Form) -> Vec:
         return form.v
     if isinstance(form, MonoForm):
         return form.c
-    return Vec.seq(form.fixed, form.head)
+    return Vec(TAIL_SEQ, form.fixed, form.head)
 
 
 def form_prefix_bound(form: Form) -> int:

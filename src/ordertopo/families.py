@@ -199,11 +199,11 @@ def value(F: Family, k: int) -> Vec:
     if isinstance(F, Explicit):
         return F.values[min(k, len(F.values) - 1)]
     if isinstance(F, Shift):
-        return Vec.seq((F.head,) * k, F.tail)
+        return Vec(TAIL_SEQ, (F.head,) * k, F.tail)
     if isinstance(F, Scale):
         return F.v * F.lam ** k
     if isinstance(F, CoordDecay):
-        return add_scaled(F.c, Fraction(1) / (k + 1 + F.q), F.p)
+        return add_scaled(F.c, Harmonic(F.q).at(k), F.p)
     base = index_base(F)
     return _walk(F).capped(max(k, base) - base)
 
@@ -274,7 +274,7 @@ def form_of(F: Family) -> Form:
         return ConstForm(F.values[-1], len(F.values) - 1)
     if isinstance(F, Shift):
         if F.head == F.tail:
-            return ConstForm(Vec.seq((), F.head), 1)
+            return ConstForm(Vec(TAIL_SEQ, (), F.head), 1)
         return ShiftForm((), F.head, F.tail, 1)
     if isinstance(F, Scale):
         return make_mono_form(zero(F.v.carrier), F.v, Geom(F.lam), 0)

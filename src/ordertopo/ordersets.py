@@ -23,6 +23,7 @@ from .carriers import (
     inf,
     leq,
     scale,
+    strictly_below_partial,
     strictly_everywhere_below,
     zero,
 )
@@ -89,7 +90,7 @@ def open_interval(lo: Vec, hi: Vec,
 
 def strictly_below(x: Vec, y: Vec, semantics: Semantics) -> bool:
     if semantics is Semantics.STRICT_PARTIAL:
-        return leq(x, y) and x != y
+        return strictly_below_partial(x, y)
     return strictly_everywhere_below(x, y)
 
 
@@ -393,6 +394,8 @@ def _solid_rules(expr: SetExpr) -> Optional[list[str]]:
                 return ["symmetric-closed-interval"]
             if iv.semantics is Semantics.STRICT_UNIFORM:
                 return ["symmetric-open-interval-uniform"]
+            if len(_support(iv.hi)) <= 1:
+                return ["symmetric-open-interval-one-position"]
         return None
     if isinstance(expr, Union):
         return _all_parts(expr.parts, _solid_rules, ["union-of-solid"])
@@ -402,6 +405,34 @@ def _solid_rules(expr: SetExpr) -> Optional[list[str]]:
         sub = _solid_rules(expr.inner)
         return ["dilate-of-solid"] + sub if sub is not None else None
     return None
+
+
+def _support(u: Vec) -> list[int]:
+    """The nonzero positions of u; a nonzero tail stands in by its first two."""
+    nonzero = [j for j, a in enumerate(u.coords, 1) if a]
+    if u.tail:
+        nonzero += [len(u.coords) + 1, len(u.coords) + 2]
+    return nonzero
+
+
+def _open_box_witness(u: Vec) -> tuple[Vec, Vec]:
+    """The pair refuting solidity of the strict-partial open interval (-u, u).
+
+    Solidity of (-u, u) is decided in closed form: it is solid iff u has at
+    most one nonzero position, a nonzero tail counting as infinitely many.
+    A member z satisfies -u <= z <= u, z != -u and z != u.
+
+    * If u = a*e_j (a > 0, as u != 0 in an open interval), the members are
+      the s*e_j with |s| < a.  For a member x and |y| <= |x|, y vanishes off
+      position j and |y_j| <= |x_j| < a, so y is a member: solid.
+    * If u_i and u_j are nonzero, i < j, let x be u with u_i negated.  Then
+      -u <= x <= u, and x differs from u at i and from -u at j, so x is a
+      member; y = u is not, and |y| = |u| = |x|: refuted by (x, u).
+    """
+    i = _support(u)[0]
+    coords = [u.coord(k) for k in range(1, max(i, len(u.coords)) + 1)]
+    coords[i - 1] = -coords[i - 1]
+    return Vec(u.carrier, tuple(coords), u.tail), u
 
 
 def _all_parts(parts: Sequence[SetExpr], rules: Callable[[SetExpr], Optional[list[str]]],
@@ -474,12 +505,16 @@ MAX_SOLID_PAIRS = 200_000  # (x, y) probe pairs tried before giving up
 def check_solid(expr: SetExpr) -> SolidityVerdict:
     """Three-valued solidity check.
 
-    Certified by structural rules; refuted by a searched witness pair
-    (x in S, |y| <= |x|, y outside S); otherwise unknown.
+    Certified by structural rules; refuted by a witness pair (x in S,
+    |y| <= |x|, y outside S), found in closed form for an open interval
+    (-u, u) and by a grid search otherwise; else unknown.
     """
     trace = _solid_rules(expr)
     if trace is not None:
         return SolidityVerdict("certified", tuple(trace))
+    if isinstance(expr, IntervalSet) and expr.interval.lo == -expr.interval.hi:
+        # the rules certify every other symmetric interval
+        return SolidityVerdict("refuted", witness=_open_box_witness(expr.interval.hi))
     carrier = carrier_of(expr)
     if carrier is None:
         return SolidityVerdict("unknown")

@@ -25,6 +25,7 @@ from .carriers import (
     TAIL_SEQ,
     Carrier,
     Vec,
+    add_scaled,
     inf,
     leq,
     ones,
@@ -389,7 +390,8 @@ def symmetric_chain(x: Vec, depth: int,
         raise ValueError("catalog depth must be at least 1")
     e = ones(x.carrier)
     return tuple(
-        open_interval(x - scale(Fraction(1, m), e), x + scale(Fraction(1, m), e), semantics)
+        open_interval(add_scaled(x, Fraction(-1, m), e), add_scaled(x, Fraction(1, m), e),
+                      semantics)
         for m in range(1, depth + 1)
     )
 
@@ -405,10 +407,11 @@ def neighborhood_catalog(x: Vec, depth: int,
     extras: list[Interval] = []
     span = min(depth, x.carrier.dim) if x.carrier.kind == "findim" else depth
     for j in range(1, span + 1):
+        e_j = unit(x.carrier, j)
         for delta in (Fraction(1), Fraction(1, 2)):
-            step = scale(delta, unit(x.carrier, j))
             try:
-                extras.append(open_interval(x - step, x + step, semantics))
+                extras.append(open_interval(add_scaled(x, -delta, e_j),
+                                            add_scaled(x, delta, e_j), semantics))
             except ValueError:
                 continue  # empty under strict-uniform semantics
     return tuple(extras) + chain
@@ -466,8 +469,8 @@ def interval_fit(c: Vec, expr: SetExpr, budget: int = 16,
     norm = normalize_expr(expr)
     e = ones(c.carrier)
     for t in range(budget + 1):
-        step = scale(Fraction(1, 2 ** t), e)
-        iv = open_interval(c - step, c + step, semantics)
+        step = Fraction(1, 2 ** t)
+        iv = open_interval(add_scaled(c, -step, e), add_scaled(c, step, e), semantics)
         verdict = _interval_contained(iv, norm)
         if verdict is True:
             return FitResult(iv, t, "exact")

@@ -1,6 +1,9 @@
-"""The summary of scripts/bench_pairs.py: medians, quartiles and pairs won."""
+"""The summary of scripts/bench_pairs.py: medians, quartiles, pairs won,
+errors and equal digests."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -17,16 +20,17 @@ SPEC = {"end_to_end": [
 ]}
 
 
-def result(docs_per_s, p50, attempted=100, failed=0):
-    return {"attempted": attempted, "failed": failed, "metrics": {
-        "docs_per_s": {"value": docs_per_s, "unit": "1/s"},
-        "latency_p50_ms": {"value": p50, "unit": "ms"}}}
+def result(docs_per_s, p50, attempted=100, failed=0, digest=None):
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+            "digest": digest, "metrics": {
+                "docs_per_s": {"value": docs_per_s, "unit": "1/s"},
+                "latency_p50_ms": {"value": p50, "unit": "ms"}}}
 
 
 def test_summary_counts_pairs_won_in_each_metric_direction():
     pairs = [
         {"parent": result(100, 2.0), "tree": result(120, 1.5)},
-        {"parent": result(110, 2.2), "tree": result(110, 1.6, failed=1)},  # a tie in docs_per_s
+        {"parent": result(110, 2.2), "tree": result(110, 1.6)},  # a tie in docs_per_s
         {"parent": result(90, 1.8), "tree": result(130, 1.9, attempted=130)},
         {"parent": result(105, 2.1), "tree": result(125, 1.4)},
         {"parent": result(95, 2.0), "tree": {"error": "exit 1: boom"}},
@@ -34,7 +38,7 @@ def test_summary_counts_pairs_won_in_each_metric_direction():
     got = bench_pairs.summarize(pairs, SPEC)
     assert got["pairs"] == 5
     assert got["parent"] == {"runs": 5, "errors": 0, "attempted": 500, "failed": 0}
-    assert got["tree"] == {"runs": 5, "errors": 1, "attempted": 430, "failed": 1}
+    assert got["tree"] == {"runs": 5, "errors": 1, "attempted": 430, "failed": 0}
     docs = got["metrics"]["docs_per_s"]
     assert docs["pairs"] == 4 and docs["tree_won"] == 3
     assert docs["parent"] == {"median": 102.5, "q1": 97.5, "q3": 106.25}
@@ -44,6 +48,47 @@ def test_summary_counts_pairs_won_in_each_metric_direction():
     assert p50["tree_won"] == 3 and p50["better"] == "lower" and p50["bound"] == 0.25
     assert p50["median_change"] == pytest.approx((1.55 - 2.05) / 2.05)
     assert "setup_s" not in got["metrics"]  # no run reported it
+
+
+def test_an_incorrect_run_is_an_error_and_left_out_of_the_medians():
+    pairs = [
+        {"parent": result(100, 2.0), "tree": result(120, 1.5)},
+        {"parent": result(100, 2.0), "tree": result(999, 0.1, failed=3)},  # correct: false
+        {"parent": result(10, 9.0, failed=1), "tree": result(120, 1.5)},
+    ]
+    got = bench_pairs.summarize(pairs, SPEC)
+    assert got["tree"] == {"runs": 3, "errors": 1, "attempted": 300, "failed": 3}
+    assert got["parent"] == {"runs": 3, "errors": 1, "attempted": 300, "failed": 1}
+    docs = got["metrics"]["docs_per_s"]
+    assert docs["pairs"] == 1 and docs["tree_won"] == 1
+    assert docs["parent"]["median"] == 100 and docs["tree"]["median"] == 120
+
+
+def test_pairs_with_equal_digests_are_counted():
+    line = "digest[plain, first 100 reports]: "
+    pairs = [
+        {"parent": result(100, 2.0, digest=line + "aa"), "tree": result(110, 1.9, digest=line + "aa")},
+        {"parent": result(100, 2.0, digest=line + "aa"), "tree": result(110, 1.9, digest=line + "bb")},
+        {"parent": result(100, 2.0, digest=line + "cc"), "tree": result(110, 1.9, digest=line + "cc")},
+        {"parent": result(100, 2.0), "tree": result(110, 1.9)},  # no digest line on either side
+        {"parent": result(100, 2.0, digest=line + "aa"), "tree": {"error": "exit 1: boom"}},
+    ]
+    assert bench_pairs.summarize(pairs, SPEC)["digests_equal"] == 2
+
+
+def test_a_run_keeps_its_correct_flag_and_digest_line(monkeypatch, tmp_path):
+    digest = "digest[plain, first 100 reports]: 0123abcd"
+    last = {"correct": False, "attempted": 7, "failed": 1, "metrics": {}}
+    stdout = "\n".join(["workload converge, seed 1", digest, "FAILED document 3: x",
+                        json.dumps(last)]) + "\n"
+
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    got = bench_pairs.run_once(tmp_path, "converge", 1, 30)
+    assert got == {**last, "digest": digest}
+    assert bench_pairs.erred(got)
 
 
 def test_a_single_pair_has_its_value_as_every_quartile():

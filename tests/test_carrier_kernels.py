@@ -5,8 +5,10 @@ replaced: generator expressions and lambdas over padded coordinate lists.
 Every kernel must give the same vectors and the same truth values on
 seeded random inputs, including zero coefficients, decay offsets q > 0
 and tails that equal the last prefix entry.  The order tests and ``within``
-compare by integer cross-products; ``hypothesis`` checks them against the
-Fraction operators as well, derandomized and without an example database.
+compare by integer cross-products, and ``add_scaled``, ``Harmonic.at`` and
+the neighborhood catalogs compute in integers and normalize once;
+``hypothesis`` checks them against the Fraction operators as well,
+derandomized and without an example database.
 """
 
 import operator
@@ -29,11 +31,16 @@ from ordertopo.carriers import (
     findim,
     inf,
     leq,
+    ones,
+    scale,
+    strictly_below_partial,
     strictly_everywhere_below,
+    unit,
     sup,
     within,
     zero,
 )
+from ordertopo.eventual import Harmonic
 from ordertopo.families import (
     Certificate,
     CoordDecay,
@@ -43,7 +50,9 @@ from ordertopo.families import (
     validate_certificate,
     value,
 )
+from ordertopo.ordersets import Interval, Semantics, open_interval
 from ordertopo.records import replace
+from ordertopo.topology import neighborhood_catalog, symmetric_chain
 
 # -- references ------------------------------------------------------------------
 
@@ -98,6 +107,33 @@ def ref_coord_decay_value(fam, k):
 
 def ref_dominated(v, c, r):
     return ref_leq(ref_map(ref_zip_with(v, c, lambda a, b: a - b), abs), r)
+
+
+def ref_add_scaled(c, t, p):
+    return c + p * t
+
+
+def ref_strictly_below_partial(x, y):
+    return ref_leq(x, y) and x != y
+
+
+def ref_symmetric_chain(x, depth, semantics):
+    e = ones(x.carrier)
+    return tuple(open_interval(x - scale(F(1, m), e), x + scale(F(1, m), e), semantics)
+                 for m in range(1, depth + 1))
+
+
+def ref_neighborhood_catalog(x, depth, semantics):
+    extras = []
+    span = min(depth, x.carrier.dim) if x.carrier.kind == "findim" else depth
+    for j in range(1, span + 1):
+        for delta in (F(1), F(1, 2)):
+            step = scale(delta, unit(x.carrier, j))
+            try:
+                extras.append(open_interval(x - step, x + step, semantics))
+            except ValueError:
+                continue
+    return tuple(extras) + ref_symmetric_chain(x, depth, semantics)
 
 
 # -- seeded inputs -----------------------------------------------------------------
@@ -237,6 +273,56 @@ def test_within_matches_the_fraction_operators(vecs, nudge):
     for radius in (r, abs(r), dev, dev + abs(r) * nudge, dev + r * nudge):
         for args in ((v, c, radius), (c, v, radius), (v, v, radius)):
             assert within(*args) == ref_dominated(*args)
+
+
+@properties
+@given(vector_triples(), rationals)
+def test_add_scaled_matches_the_fraction_operators(vecs, t):
+    c, p, r = vecs
+    for centre, direction in ((c, p), (c, r), (p, c), (c, c - c), (c, -c)):
+        got = add_scaled(centre, t, direction)
+        assert got == ref_add_scaled(centre, t, direction)
+        # where the direction is zero, the stored value is the centre's own
+        for j in range(1, got.prefix_len + 1):
+            if direction.coord(j) == 0:
+                assert got.coord(j) is centre.coord(j)
+        if got.tail is not None and direction.tail == 0:
+            assert got.tail is centre.tail
+
+
+@properties
+@given(st.integers(0, 10**6), st.one_of(rationals.map(abs), st.just(F(0))))
+def test_harmonic_kernel_matches_the_fraction_operators(k, q):
+    assert Harmonic(q).at(k) == F(1) / (k + 1 + q)
+
+
+@properties
+@given(vector_triples())
+def test_strict_partial_order_matches_leq_and_not_equal(vecs):
+    x, y, z = vecs
+    for a, b in ((x, y), (y, x), (x, x), (x, z), (x, x + abs(y)), (x, sup(x, z))):
+        assert strictly_below_partial(a, b) == ref_strictly_below_partial(a, b)
+
+
+@properties
+@given(vector_triples(), st.integers(1, 4), st.sampled_from(list(Semantics)))
+def test_catalogs_match_the_scaled_vector_construction(vecs, depth, semantics):
+    x = vecs[0]
+    chain = symmetric_chain(x, depth, semantics)
+    catalog = neighborhood_catalog(x, depth, semantics)
+    want_chain = ref_symmetric_chain(x, depth, semantics)
+    want_catalog = ref_neighborhood_catalog(x, depth, semantics)
+    assert len(chain) == len(want_chain) and len(catalog) == len(want_catalog)
+    for got, want in zip(chain + catalog, want_chain + want_catalog):
+        assert isinstance(got, Interval)
+        assert (got.lo, got.hi, got.kind, got.semantics) == (
+            want.lo, want.hi, want.kind, want.semantics)
+    # a perturbation endpoint keeps x's own values off its coordinate
+    positions = x.carrier.dim or depth + x.prefix_len + 1
+    for iv in catalog[:len(catalog) - depth]:
+        for end in (iv.lo, iv.hi):
+            moved = [j for j in range(1, positions + 1) if end.coord(j) is not x.coord(j)]
+            assert len(moved) == 1
 
 
 def test_cross_products_separate_rationals_a_huge_denominator_apart():

@@ -1,9 +1,10 @@
 """The lazy walks give exactly what the eager walks give.
 
 ``check_solid`` walks the cached probe grid and tests membership only where
-the walk reaches.  The eager version below tests every grid point first; it
-is kept here as a reference, and the walk must agree with it on statuses,
-witnesses and pair counts.  The closure search probes its candidate
+the walk reaches.  The eager version below tests every grid point first,
+after the same rules and the same closed form for an open interval (-u, u);
+it is kept here as a reference, and the walk must agree with it on
+statuses, witnesses and pair counts.  The closure search probes its candidate
 families lazily and stops at the first that refutes; over the same
 catalogue, every closure verdict is replayed by an eager walk over the whole
 candidate list: a refutation is the first candidate that ``_try_witness``
@@ -26,6 +27,7 @@ from ordertopo.ordersets import (
     SolidityVerdict,
     TailZero,
     Union,
+    _open_box_witness,
     _solid_rules,
     carrier_of,
     check_solid,
@@ -51,6 +53,8 @@ def eager_check_solid(expr):
     trace = _solid_rules(expr)
     if trace is not None:
         return SolidityVerdict("certified", tuple(trace))
+    if isinstance(expr, IntervalSet) and expr.interval.lo == -expr.interval.hi:
+        return SolidityVerdict("refuted", witness=_open_box_witness(expr.interval.hi))
     carrier = carrier_of(expr)
     if carrier is None:
         return SolidityVerdict("unknown")
@@ -140,7 +144,8 @@ def test_check_solid_takes_each_absolute_value_once(monkeypatch):
         return real(v)
 
     carrier = findim(3)
-    expr = IntervalSet(open_interval(-ones(carrier), ones(carrier)))
+    # not symmetric, so the grid walk decides it
+    expr = IntervalSet(open_interval(-ones(carrier), ones(carrier) + unit(carrier, 1)))
     monkeypatch.setattr(Vec, "__abs__", counting)
     verdict = check_solid(expr)
     assert verdict.searched > len(grid_vectors(carrier))

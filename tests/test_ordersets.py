@@ -220,9 +220,6 @@ def test_check_solid_symmetric_interval_certified():
     assert verdict.status == "certified"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "check_solid walks its pairs x-major over the grid and stops at MAX_SOLID_PAIRS "
-    "long before x = (1, 1, 1, -1), the last grid member, so it ends unknown"))
 def test_check_solid_refutes_the_open_box_of_findim_4():
     e = ones(findim(4))
     s = IntervalSet(open_interval(-e, e))
@@ -231,6 +228,47 @@ def test_check_solid_refutes_the_open_box_of_findim_4():
     assert member(s, x) and not member(s, y) and leq(abs(y), abs(x))
     assert x in grid_vectors(findim(4)) and y in grid_vectors(findim(4))
     assert check_solid(s).status == "refuted"
+
+
+def _probe_refutation(s, probes):
+    """A pair (x in s, y outside s, |y| <= |x|) among the probes, or None."""
+    inside = [x for x in probes if member(s, x)]
+    outside = [y for y in probes if not member(s, y)]
+    return next(((x, y) for x in inside for y in outside if leq(abs(y), abs(x))), None)
+
+
+@pytest.mark.parametrize("carrier", [findim(1), findim(2), findim(3), TAIL_SEQ])
+def test_open_box_solidity_is_decided_in_closed_form(carrier):
+    values = (Fraction(-1), Fraction(0), Fraction(1))
+    if carrier.kind == "findim":
+        probes = [Vec(carrier, c) for c in itertools.product(values, repeat=carrier.dim)]
+    else:
+        probes = list({Vec(carrier, c, t) for n in range(3)
+                       for c in itertools.product(values, repeat=n) for t in values})
+    statuses = set()
+    for u in probes:
+        if u.is_zero() or not leq(zero(carrier), u):
+            continue
+        s = IntervalSet(open_interval(-u, u))
+        got = check_solid(s)
+        statuses.add(got.status)
+        if got.status == "refuted":
+            x, y = got.witness
+            assert member(s, x) and not member(s, y) and leq(abs(y), abs(x))
+        else:
+            # one nonzero position: no probe pair refutes
+            assert got.status == "certified", u
+            assert got.rule_trace == ("symmetric-open-interval-one-position",)
+            assert _probe_refutation(s, probes) is None, u
+    assert statuses == ({"certified"} if carrier == findim(1) else {"certified", "refuted"})
+
+
+def test_a_nonzero_tail_counts_as_infinitely_many_positions():
+    u = Vec.seq([], 1)
+    got = check_solid(IntervalSet(open_interval(-u, u)))
+    assert got.status == "refuted" and got.witness == (Vec.seq([-1], 1), u)
+    e2 = unit(TAIL_SEQ, 2)
+    assert check_solid(IntervalSet(open_interval(-e2, e2))).status == "certified"
 
 
 def test_check_solid_union_and_ideal():
