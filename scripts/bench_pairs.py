@@ -14,7 +14,9 @@ speed falls on both sides alike.
 The output holds, for every end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the relative change of the median and the
 pairs the tree won; per side the documents attempted and failed and the
-runs that erred; and per workload the pairs whose report digests are equal.
+runs that erred; and per workload the pairs whose report digests are equal
+and, under "over_bound", every metric whose median changed for the worse
+by more than its bound, which the script also prints at the end.
 A run that failed, or that its checker found incorrect (``"correct":
 false``), counts as an error and is left out of the medians.  Only the
 standard library is used.
@@ -102,7 +104,9 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
     A pair counts only if neither side erred and both report the metric; the
     tree wins it when its value is strictly better in the metric's
     direction.  ``digests_equal`` counts the pairs whose two digest lines
-    are present and equal.
+    are present and equal; ``over_bound`` names, in ``BENCHMARK.json``
+    order, the metrics whose median changed for the worse by more than
+    their bound.
     """
     out = {"pairs": len(pairs), "metrics": {},
            "digests_equal": sum(p["parent"].get("digest") is not None
@@ -132,7 +136,16 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
         base = entry["parent"]["median"]
         entry["median_change"] = (entry["tree"]["median"] - base) / base if base else None
         out["metrics"][name] = entry
+    out["over_bound"] = [name for name, entry in out["metrics"].items() if over_bound(entry)]
     return out
+
+
+def over_bound(entry: dict) -> bool:
+    """Whether a metric's median changed for the worse by more than its bound."""
+    change, bound = entry["median_change"], entry["bound"]
+    if change is None or bound is None:
+        return False
+    return -change > bound if entry["better"] == "higher" else change > bound
 
 
 def main(argv=None) -> int:
@@ -167,6 +180,11 @@ def main(argv=None) -> int:
             report["workloads"][workload] = {**summarize(pairs, spec), "runs": pairs}
             Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
+    for workload, summary in report["workloads"].items():
+        for name in summary["over_bound"]:
+            entry = summary["metrics"][name]
+            print(f"over bound: {workload} {name} median {entry['median_change']:+.1%} "
+                  f"(bound {entry['bound']:.0%}, better {entry['better']})")
     return 0
 
 

@@ -35,6 +35,7 @@ from .families import (
     RunningSupMeet,
     Scale,
     Shift,
+    certificate_derivable,
     dominating_family,
     eventually_in,
     monotonicity,

@@ -70,11 +70,12 @@ class Vec:
         else:
             if self.tail is None:
                 raise ValueError("tailseq vectors need a tail value")
-            coords = self.coords
-            while coords and coords[-1] == self.tail:
-                coords = coords[:-1]
-            if coords is not self.coords:
-                object.__setattr__(self, "coords", coords)
+            coords, tail = self.coords, self.tail
+            n = len(coords)
+            while n and coords[n - 1] == tail:
+                n -= 1
+            if n != len(coords):
+                object.__setattr__(self, "coords", coords[:n])
 
     def __str__(self) -> str:
         """The text form: "(1, 1/2)" on findim, "(1; tail 0)" on tailseq."""

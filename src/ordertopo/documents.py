@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .carriers import Carrier, Vec
-from .families import Certificate, order_converges, validate_certificate
+from .families import Certificate, certificate_derivable, order_converges
 from .ordersets import Semantics, SetExpr, check_solid
 from .records import record, replace
 from .serialize import (
@@ -231,7 +231,7 @@ def _run_convergence(doc: ProblemDoc) -> RunResult:
     lines = [f"convergence: {doc.payload['family'].get('template')}",
              f"carrier: {doc.carrier}"]
     if isinstance(got, Certificate):
-        ok = validate_certificate(family, got)
+        ok = certificate_derivable(family, got)
         order_body = {"status": "certified", "certificate": certificate_to_json(got),
                       "revalidated": ok}
         lines.append("order convergence: certified"

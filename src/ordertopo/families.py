@@ -459,30 +459,61 @@ def _suffix_sups(devs: Sequence[Vec]) -> list[Vec]:
 CERTIFICATE_HORIZON = 48  # indices past the base that domination is replayed for
 
 
+def certificate_derivable(F: Family, cert: Certificate) -> bool:
+    """Derive a certificate from its stored pieces and the closed forms.
+
+    The dominating family decreases by its template rule, tends to zero, and
+    bounds |value(k) - limit| from the closed forms' settle index on; the
+    indices below it are checked exactly.
+    """
+    return _derived_from(F, cert) is not None
+
+
 def validate_certificate(F: Family, cert: Certificate) -> bool:
-    """Re-check a certificate from its stored pieces alone."""
+    """Re-check a certificate from its stored pieces alone.
+
+    The derivation of ``certificate_derivable``, and a second opinion: the
+    dominating family's direction over ``MONOTONICITY_HORIZON`` exact pairs,
+    and domination up to ``CERTIFICATE_HORIZON`` indices past the base.
+    """
+    monotonicity(cert.dominating)  # raises if the template rule is contradicted
+    settled = _derived_from(F, cert)
+    if settled is None:
+        return False
+    if cert.threshold_map is not None:
+        return True
+    k0 = max(index_base(F), index_base(cert.dominating))
+    return _dominated(F, cert, settled, max(settled, k0 + CERTIFICATE_HORIZON))
+
+
+def _derived_from(F: Family, cert: Certificate) -> Optional[int]:
+    """The index from which the closed forms prove per-index domination
+    (checked exactly below it), the index base for a threshold map that
+    holds, or None when the certificate does not derive."""
     dom = cert.dominating
-    carrier = family_carrier(F)
-    if monotonicity(dom).direction != "decreasing":
-        return False
-    if order_limit(dom) != zero(carrier):
-        return False
+    if _direction_rule(dom)[0] != "decreasing":
+        return None
+    if order_limit(dom) != zero(family_carrier(F)):
+        return None
     k0 = max(index_base(F), index_base(dom))
     if cert.threshold_map is None:
         dev = abs_centered_form(affine_form(form_of(F), Fraction(1), -cert.limit))
         ok, settled = form_eventually_le(dev, form_of(dom))
-        if not ok:
-            return False
-        hi = max(settled, k0 + CERTIFICATE_HORIZON)
-        return all(within(v, cert.limit, d)
-                   for v, d in zip(values_iter(F, hi, k0), values_iter(dom, hi, k0)))
+        settled = max(settled, k0)
+        return settled if ok and _dominated(F, cert, k0, settled - 1) else None
     for m, t in cert.threshold_map:
         radius = value(dom, m)
         lo, hi = cert.limit - radius, cert.limit + radius
         got = eventually_in(F, IntervalSet(closed_interval(lo, hi)))
         if got.status != "holds-from" or got.index > t:
-            return False
-    return True
+            return None
+    return k0
+
+
+def _dominated(F: Family, cert: Certificate, lo: int, hi: int) -> bool:
+    """|value(k) - limit| <= dominating(k) exactly, for k = lo .. hi."""
+    return all(within(v, cert.limit, d) for v, d in
+               zip(values_iter(F, hi, lo), values_iter(cert.dominating, hi, lo)))
 
 
 # -- eventual membership -------------------------------------------------------------

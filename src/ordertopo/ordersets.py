@@ -88,6 +88,14 @@ def open_interval(lo: Vec, hi: Vec,
     return Interval(lo, hi, IntervalKind.OPEN, semantics)
 
 
+def dilate_interval(iv: Interval, t: Fraction) -> Interval:
+    """The image t*[lo, hi] of the interval under x -> t*x, t != 0."""
+    lo, hi = scale(t, iv.lo), scale(t, iv.hi)
+    if t < 0:
+        lo, hi = hi, lo
+    return Interval(lo, hi, iv.kind, iv.semantics)
+
+
 def strictly_below(x: Vec, y: Vec, semantics: Semantics) -> bool:
     if semantics is Semantics.STRICT_PARTIAL:
         return strictly_below_partial(x, y)
@@ -415,6 +423,17 @@ def _support(u: Vec) -> list[int]:
     return nonzero
 
 
+def _peel_dilates(expr: SetExpr) -> SetExpr:
+    """An interval under ``Dilate`` layers as the one dilated interval; any
+    other expression as it is."""
+    t, inner = Fraction(1), expr
+    while isinstance(inner, Dilate):
+        t, inner = t * inner.factor, inner.inner
+    if not isinstance(inner, IntervalSet):
+        return expr
+    return inner if t == 1 else IntervalSet(dilate_interval(inner.interval, t))
+
+
 def _open_box_witness(u: Vec) -> tuple[Vec, Vec]:
     """The pair refuting solidity of the strict-partial open interval (-u, u).
 
@@ -507,14 +526,16 @@ def check_solid(expr: SetExpr) -> SolidityVerdict:
 
     Certified by structural rules; refuted by a witness pair (x in S,
     |y| <= |x|, y outside S), found in closed form for an open interval
-    (-u, u) and by a grid search otherwise; else unknown.
+    (-u, u) under any ``Dilate`` layers and by a grid search otherwise; else
+    unknown.
     """
     trace = _solid_rules(expr)
     if trace is not None:
         return SolidityVerdict("certified", tuple(trace))
-    if isinstance(expr, IntervalSet) and expr.interval.lo == -expr.interval.hi:
-        # the rules certify every other symmetric interval
-        return SolidityVerdict("refuted", witness=_open_box_witness(expr.interval.hi))
+    box = _peel_dilates(expr)
+    if isinstance(box, IntervalSet) and box.interval.lo == -box.interval.hi:
+        # the rules certify every other symmetric interval, dilated or not
+        return SolidityVerdict("refuted", witness=_open_box_witness(box.interval.hi))
     carrier = carrier_of(expr)
     if carrier is None:
         return SolidityVerdict("unknown")

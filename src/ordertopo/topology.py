@@ -71,6 +71,7 @@ from .ordersets import (
     _dedup,
     carrier_of,
     collect_vectors,
+    dilate_interval,
     interval_contains,
     member,
     named_coords,
@@ -153,11 +154,7 @@ def _apply_dilate(inner: SetExpr, t: Fraction) -> SetExpr:
     if t == 1:
         return inner
     if isinstance(inner, IntervalSet):
-        iv = inner.interval
-        lo, hi = scale(t, iv.lo), scale(t, iv.hi)
-        if t < 0:
-            lo, hi = hi, lo
-        return IntervalSet(Interval(lo, hi, iv.kind, iv.semantics))
+        return IntervalSet(dilate_interval(inner.interval, t))
     if isinstance(inner, HalfSpace):
         relation = inner.relation
         if t < 0:

@@ -1,5 +1,5 @@
 """The summary of scripts/bench_pairs.py: medians, quartiles, pairs won,
-errors and equal digests."""
+errors, equal digests and the metrics over their bound."""
 
 import importlib.util
 import json
@@ -95,6 +95,39 @@ def test_a_single_pair_has_its_value_as_every_quartile():
     got = bench_pairs.summarize([{"parent": result(100, 2.0), "tree": result(80, 2.5)}], SPEC)
     docs = got["metrics"]["docs_per_s"]
     assert docs["tree"] == {"median": 80, "q1": 80, "q3": 80} and docs["tree_won"] == 0
+
+
+def test_metrics_worse_than_their_bound_are_listed_in_each_direction():
+    pairs = [{"parent": result(100, 2.0), "tree": result(130, 2.6)},
+             {"parent": result(100, 2.0), "tree": result(130, 2.4)}]
+    got = bench_pairs.summarize(pairs, SPEC)
+    # docs_per_s rose (better); p50 rose 25% exactly: not over, then 30%: over
+    assert got["over_bound"] == []
+    pairs[1]["tree"] = result(70, 2.6)
+    got = bench_pairs.summarize(pairs, SPEC)
+    assert got["metrics"]["latency_p50_ms"]["median_change"] == pytest.approx(0.3)
+    assert got["over_bound"] == ["latency_p50_ms"]
+    pairs[0]["tree"] = result(60, 2.6)
+    got = bench_pairs.summarize(pairs, SPEC)
+    assert got["metrics"]["docs_per_s"]["median_change"] == pytest.approx(-0.35)
+    assert got["over_bound"] == ["docs_per_s", "latency_p50_ms"]
+
+
+def test_over_bound_metrics_are_printed_at_the_end(monkeypatch, tmp_path, capsys):
+    spec = {"run_seconds": 1, "workloads": [{"name": "converge"}], **SPEC}
+    runs = iter([result(100, 2.0), result(100, 2.6)])
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kw:
+                        subprocess.CompletedProcess(argv, 0, stdout="0" * 40 + "\n"))
+    monkeypatch.setattr(bench_pairs, "extract_parent", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_tree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: next(runs))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--seeds", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["workloads"]["converge"]["over_bound"] == ["latency_p50_ms"]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "over bound: converge latency_p50_ms median +30.0% (bound 25%, better lower)")
 
 
 def test_seed_ranges_include_both_ends():

@@ -45,6 +45,7 @@ from ordertopo.families import (
     Certificate,
     CoordDecay,
     Explicit,
+    Shift,
     order_converges,
     pointwise_limit,
     validate_certificate,
@@ -111,6 +112,12 @@ def ref_dominated(v, c, r):
 
 def ref_add_scaled(c, t, p):
     return c + p * t
+
+
+def ref_strip(coords, tail):
+    while coords and coords[-1] == tail:
+        coords = coords[:-1]
+    return coords
 
 
 def ref_strictly_below_partial(x, y):
@@ -205,6 +212,27 @@ def test_coord_decay_value_matches_the_two_vector_form():
         t = pick(rng)
         assert add_scaled(c, t, p) == ref_zip_with(
             c, ref_map(p, lambda a: a * t), lambda a, b: a + b)
+
+
+def test_tailseq_normal_form_matches_the_reference_strip():
+    rng = random.Random(13005)
+    stripped = 0
+    for _ in range(300):
+        tail = pick(rng)
+        coords = [pick(rng) for _ in range(rng.randint(0, 6))]
+        for _ in range(rng.randint(0, 3)):  # runs of tail-equal entries, some long
+            coords += [tail] * rng.choice([1, 2, 50, 400])
+            if rng.random() < 0.5:
+                coords.append(pick(rng))
+        coords = tuple(coords)
+        got = Vec(TAIL_SEQ, coords, tail).coords
+        assert got == ref_strip(coords, tail)
+        stripped += got != coords
+    assert stripped > 100
+
+
+def test_a_long_constant_shift_value_is_one_tail():
+    assert value(Shift(F(1), F(1)), 16000) == Vec(TAIL_SEQ, (), F(1))
 
 
 def test_within_matches_the_abs_difference_test():

@@ -8,6 +8,7 @@ import pytest
 from ordertopo.carriers import TAIL_SEQ, Vec, findim, inf, leq, ones, unit, zero
 from ordertopo.ordersets import (
     Complement,
+    Dilate,
     HalfSpace,
     Ideal,
     IntervalSet,
@@ -269,6 +270,24 @@ def test_a_nonzero_tail_counts_as_infinitely_many_positions():
     assert got.status == "refuted" and got.witness == (Vec.seq([-1], 1), u)
     e2 = unit(TAIL_SEQ, 2)
     assert check_solid(IntervalSet(open_interval(-e2, e2))).status == "certified"
+
+
+@pytest.mark.parametrize("factor", [Fraction(2), Fraction(-3, 2)])
+def test_a_dilated_open_box_is_refuted_in_closed_form(factor):
+    e = ones(findim(4))
+    box = IntervalSet(open_interval(-e, e))
+    s = Dilate(box, factor)
+    got = check_solid(s)
+    assert (got.status, got.searched) == ("refuted", 0)
+    x, y = got.witness
+    assert leq(abs(y), abs(x))
+    # the pair refutes the expression as given, and scaled back, the box itself
+    assert member(s, x) and not member(s, y)
+    assert member(box, x * (1 / factor)) and not member(box, y * (1 / factor))
+    # nested dilates peel to one interval; a one-position box stays certified
+    assert check_solid(Dilate(s, Fraction(1, 3))).status == "refuted"
+    e1 = unit(findim(4), 1)
+    assert check_solid(Dilate(IntervalSet(open_interval(-e1, e1)), factor)).status == "certified"
 
 
 def test_check_solid_union_and_ideal():

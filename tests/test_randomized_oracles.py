@@ -8,7 +8,8 @@ replayed by long exact scans.
 import random
 from fractions import Fraction
 
-from ordertopo.carriers import TAIL_SEQ, findim, leq
+from ordertopo.carriers import TAIL_SEQ, findim, leq, ones
+from ordertopo.documents import parse_document, run_document
 from ordertopo.eventual import form_eval
 from ordertopo.families import (
     Certificate,
@@ -17,6 +18,7 @@ from ordertopo.families import (
     RunningSupMeet,
     Scale,
     Shift,
+    certificate_derivable,
     eventually_in,
     form_of,
     index_base,
@@ -44,6 +46,8 @@ from ordertopo.ordersets import (
     member,
     open_interval,
 )
+from ordertopo.records import replace
+from ordertopo.serialize import carrier_to_json, family_to_json, vec_to_json
 from ordertopo.topology import normalize_expr
 from randvec import rand_rat, rand_vec
 
@@ -159,6 +163,66 @@ def test_convergence_certificates_validate_on_random_trees():
         k0 = max(index_base(fam), index_base(dom))
         for k in range(k0, k0 + 60):
             assert leq(abs(value(fam, k) - limit), value(dom, k)), (trial, fam, k)
+
+
+def halved(fam):
+    """A dominating family of any template at half its size."""
+    half = F(1, 2)
+    if isinstance(fam, Explicit):
+        return Explicit(tuple(v * half for v in fam.values))
+    if isinstance(fam, Shift):
+        return Shift(fam.head * half, fam.tail * half)
+    if isinstance(fam, Scale):
+        return Scale(fam.v * half, fam.lam)
+    return CoordDecay(fam.c * half, fam.p * half, fam.q)
+
+
+def _outcome(check, fam, cert):
+    """The check's answer, or the type of error it raised (a limit other than
+    the family's own can leave a deviation form without a zero limit)."""
+    try:
+        return check(fam, cert)
+    except ValueError as err:
+        return type(err)
+
+
+def test_the_derivation_agrees_with_the_second_opinion_scans():
+    rng = random.Random(555006)
+    templates, halvings = set(), 0
+    for trial in range(150):
+        carrier = findim(rng.randint(1, 3)) if rng.random() < 0.5 else TAIL_SEQ
+        fam = random_family(rng, carrier)
+        templates.add(type(fam).__name__)
+        cert = order_converges(fam, pointwise_limit(fam))
+        assert certificate_derivable(fam, cert) and validate_certificate(fam, cert), (trial, fam)
+        weaker = replace(cert, dominating=halved(cert.dominating))
+        if weaker != cert:  # a zero dominating family halves to itself
+            halvings += 1
+            assert not certificate_derivable(fam, weaker), (trial, fam)
+            assert not validate_certificate(fam, weaker), (trial, fam)
+        moved = replace(cert, limit=cert.limit + ones(carrier))
+        for bad in (moved, replace(cert, dominating=fam)):
+            assert (_outcome(certificate_derivable, fam, bad)
+                    == _outcome(validate_certificate, fam, bad)), (trial, fam)
+    assert templates == {"Explicit", "Shift", "Scale", "CoordDecay", "RunningSupMeet"}
+    assert halvings > 100
+
+
+def test_a_convergence_document_revalidates_what_validate_certificate_accepts():
+    rng = random.Random(555007)
+    certified = 0
+    for trial in range(40):
+        carrier = findim(rng.randint(1, 3)) if rng.random() < 0.5 else TAIL_SEQ
+        fam = random_family(rng, carrier, depth=1)
+        limit = pointwise_limit(fam)
+        doc = parse_document({"carrier": carrier_to_json(carrier), "task": {"convergence": {
+            "family": family_to_json(fam), "limit": vec_to_json(limit), "depth": 1}}})
+        order = run_document(doc).report["order_convergence"]
+        assert order["status"] == "certified", (trial, fam)
+        if validate_certificate(fam, order_converges(fam, limit)):
+            assert order["revalidated"] is True, (trial, fam)
+            certified += 1
+    assert certified == 40
 
 
 def test_eventually_in_matches_long_exact_scan():
