@@ -13,10 +13,12 @@ speed falls on both sides alike.
 
 The output holds, for every end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the relative change of the median and the
-pairs the tree won; per side the documents attempted and failed and the
-runs that erred; and per workload the pairs whose report digests are equal
-and, under "over_bound", every metric whose median changed for the worse
-by more than its bound, which the script also prints at the end.
+pairs the tree won; per side the documents attempted and failed, the
+runs that erred and the runs whose stream ran out and started over
+("cycled", read from run.py's stderr warning); and per workload the pairs
+whose report digests are equal and, under "over_bound", every metric whose
+median changed for the worse by more than its bound, which the script also
+prints at the end.
 A run that failed, or that its checker found incorrect (``"correct":
 false``), counts as an error and is left out of the medians.  Only the
 standard library is used.
@@ -37,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "tree")
 DIGEST_LINE = "digest[plain, first 100 reports]: "
+CYCLE_WARNING = "started over"  # run.py's stderr warning: the stream ran out and repeated
 
 
 def parse_seeds(items: list[str]) -> list[int]:
@@ -70,7 +73,9 @@ def copy_tree(dest: Path) -> None:
 
 def run_once(side_dir: Path, workload: str, seed: int, seconds: float) -> dict:
     """The last JSON line of one run.py run with its digest line under
-    "digest", or {"error": ...} if it failed."""
+    "digest" and, under "cycled", whether run.py warned that a loop ran
+    through its whole stream and started over; or {"error": ...} if it
+    failed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     try:
@@ -83,6 +88,7 @@ def run_once(side_dir: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     result = json.loads(lines[-1])
     result["digest"] = next((line for line in lines if line.startswith(DIGEST_LINE)), None)
+    result["cycled"] = CYCLE_WARNING in proc.stderr
     return result
 
 
@@ -100,7 +106,9 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
     """Per-metric medians, quartiles and pairs won, over complete pairs.
 
     ``pairs`` holds one {"parent": result, "tree": result} per seed, each
-    result being run.py's JSON line (with its digest line) or {"error": ...}.
+    result being run.py's JSON line (with its digest line and cycled flag)
+    or {"error": ...}.  Per side, ``cycled`` counts the runs whose stream
+    started over, so part of them re-measured documents already run.
     A pair counts only if neither side erred and both report the metric; the
     tree wins it when its value is strictly better in the metric's
     direction.  ``digests_equal`` counts the pairs whose two digest lines
@@ -117,7 +125,8 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
         out[side] = {"runs": len(results),
                      "errors": sum(map(erred, results)),
                      "attempted": sum(r.get("attempted", 0) for r in results),
-                     "failed": sum(r.get("failed", 0) for r in results)}
+                     "failed": sum(r.get("failed", 0) for r in results),
+                     "cycled": sum(bool(r.get("cycled")) for r in results)}
     clean = [p for p in pairs if not any(erred(p[side]) for side in SIDES)]
     for metric in spec["end_to_end"]:
         name = metric["name"]

@@ -464,7 +464,8 @@ def certificate_derivable(F: Family, cert: Certificate) -> bool:
 
     The dominating family decreases by its template rule, tends to zero, and
     bounds |value(k) - limit| from the closed forms' settle index on; the
-    indices below it are checked exactly.
+    indices below it are checked exactly, and a limit other than the
+    family's own fails.  A threshold map is checked entry by entry.
     """
     return _derived_from(F, cert) is not None
 
@@ -497,6 +498,8 @@ def _derived_from(F: Family, cert: Certificate) -> Optional[int]:
         return None
     k0 = max(index_base(F), index_base(dom))
     if cert.threshold_map is None:
+        if cert.limit != pointwise_limit(F):
+            return None  # only the family's own limit has a deviation tending to zero
         dev = abs_centered_form(affine_form(form_of(F), Fraction(1), -cert.limit))
         ok, settled = form_eventually_le(dev, form_of(dom))
         settled = max(settled, k0)

@@ -1,5 +1,5 @@
 """The summary of scripts/bench_pairs.py: medians, quartiles, pairs won,
-errors, equal digests and the metrics over their bound."""
+errors, cycled runs, equal digests and the metrics over their bound."""
 
 import importlib.util
 import json
@@ -20,9 +20,9 @@ SPEC = {"end_to_end": [
 ]}
 
 
-def result(docs_per_s, p50, attempted=100, failed=0, digest=None):
+def result(docs_per_s, p50, attempted=100, failed=0, digest=None, cycled=False):
     return {"correct": failed == 0, "attempted": attempted, "failed": failed,
-            "digest": digest, "metrics": {
+            "digest": digest, "cycled": cycled, "metrics": {
                 "docs_per_s": {"value": docs_per_s, "unit": "1/s"},
                 "latency_p50_ms": {"value": p50, "unit": "ms"}}}
 
@@ -37,8 +37,8 @@ def test_summary_counts_pairs_won_in_each_metric_direction():
     ]
     got = bench_pairs.summarize(pairs, SPEC)
     assert got["pairs"] == 5
-    assert got["parent"] == {"runs": 5, "errors": 0, "attempted": 500, "failed": 0}
-    assert got["tree"] == {"runs": 5, "errors": 1, "attempted": 430, "failed": 0}
+    assert got["parent"] == {"runs": 5, "errors": 0, "attempted": 500, "failed": 0, "cycled": 0}
+    assert got["tree"] == {"runs": 5, "errors": 1, "attempted": 430, "failed": 0, "cycled": 0}
     docs = got["metrics"]["docs_per_s"]
     assert docs["pairs"] == 4 and docs["tree_won"] == 3
     assert docs["parent"] == {"median": 102.5, "q1": 97.5, "q3": 106.25}
@@ -57,8 +57,8 @@ def test_an_incorrect_run_is_an_error_and_left_out_of_the_medians():
         {"parent": result(10, 9.0, failed=1), "tree": result(120, 1.5)},
     ]
     got = bench_pairs.summarize(pairs, SPEC)
-    assert got["tree"] == {"runs": 3, "errors": 1, "attempted": 300, "failed": 3}
-    assert got["parent"] == {"runs": 3, "errors": 1, "attempted": 300, "failed": 1}
+    assert got["tree"] == {"runs": 3, "errors": 1, "attempted": 300, "failed": 3, "cycled": 0}
+    assert got["parent"] == {"runs": 3, "errors": 1, "attempted": 300, "failed": 1, "cycled": 0}
     docs = got["metrics"]["docs_per_s"]
     assert docs["pairs"] == 1 and docs["tree_won"] == 1
     assert docs["parent"]["median"] == 100 and docs["tree"]["median"] == 120
@@ -76,19 +76,44 @@ def test_pairs_with_equal_digests_are_counted():
     assert bench_pairs.summarize(pairs, SPEC)["digests_equal"] == 2
 
 
-def test_a_run_keeps_its_correct_flag_and_digest_line(monkeypatch, tmp_path):
-    digest = "digest[plain, first 100 reports]: 0123abcd"
-    last = {"correct": False, "attempted": 7, "failed": 1, "metrics": {}}
-    stdout = "\n".join(["workload converge, seed 1", digest, "FAILED document 3: x",
-                        json.dumps(last)]) + "\n"
+DIGEST = "digest[plain, first 100 reports]: 0123abcd"
+LAST = {"correct": False, "attempted": 7, "failed": 1, "metrics": {}}
+CYCLED = ("warning: the plain loop ran through the whole stream and started over; "
+          "raise DOCS_PER_SECOND in run.py\n")
+
+
+def run_once_with_stderr(monkeypatch, tmp_path, stderr):
+    """run_once over a faked run.py that printed an incorrect run's lines."""
+    stdout = "\n".join(["workload converge, seed 1", DIGEST, "FAILED document 3: x",
+                        json.dumps(LAST)]) + "\n"
 
     def fake_run(argv, **kwargs):
-        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr=stderr)
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    got = bench_pairs.run_once(tmp_path, "converge", 1, 30)
-    assert got == {**last, "digest": digest}
+    return bench_pairs.run_once(tmp_path, "converge", 1, 30)
+
+
+def test_a_run_keeps_its_correct_flag_and_digest_line(monkeypatch, tmp_path):
+    got = run_once_with_stderr(monkeypatch, tmp_path, "")
+    assert got == {**LAST, "digest": DIGEST, "cycled": False}
     assert bench_pairs.erred(got)
+
+
+def test_a_run_records_the_cycle_warning_of_run_py(monkeypatch, tmp_path):
+    assert run_once_with_stderr(monkeypatch, tmp_path, CYCLED)["cycled"] is True
+
+
+def test_runs_whose_stream_started_over_are_counted_per_side():
+    pairs = [
+        {"parent": result(100, 2.0), "tree": result(120, 1.5, cycled=True)},
+        {"parent": result(100, 2.0, cycled=True), "tree": result(120, 1.5, cycled=True)},
+        {"parent": result(100, 2.0), "tree": {"error": "exit 1: boom"}},
+    ]
+    got = bench_pairs.summarize(pairs, SPEC)
+    assert (got["parent"]["cycled"], got["tree"]["cycled"]) == (1, 2)
+    # a cycled run still counts in the medians: the flag only reports it
+    assert got["metrics"]["docs_per_s"]["pairs"] == 2
 
 
 def test_a_single_pair_has_its_value_as_every_quartile():

@@ -48,7 +48,7 @@ from ordertopo.ordersets import (
 )
 from ordertopo.records import replace
 from ordertopo.serialize import carrier_to_json, family_to_json, vec_to_json
-from ordertopo.topology import normalize_expr
+from ordertopo.topology import ClosureWitness, normalize_expr, replay_witness
 from randvec import rand_rat, rand_vec
 
 F = Fraction
@@ -177,15 +177,6 @@ def halved(fam):
     return CoordDecay(fam.c * half, fam.p * half, fam.q)
 
 
-def _outcome(check, fam, cert):
-    """The check's answer, or the type of error it raised (a limit other than
-    the family's own can leave a deviation form without a zero limit)."""
-    try:
-        return check(fam, cert)
-    except ValueError as err:
-        return type(err)
-
-
 def test_the_derivation_agrees_with_the_second_opinion_scans():
     rng = random.Random(555006)
     templates, halvings = set(), 0
@@ -200,12 +191,56 @@ def test_the_derivation_agrees_with_the_second_opinion_scans():
             halvings += 1
             assert not certificate_derivable(fam, weaker), (trial, fam)
             assert not validate_certificate(fam, weaker), (trial, fam)
+        bad = replace(cert, dominating=fam)
+        assert certificate_derivable(fam, bad) == validate_certificate(fam, bad), (trial, fam)
+        # a certificate read from outside the process can carry any limit;
+        # one other than the family's own fails, and nothing raises
         moved = replace(cert, limit=cert.limit + ones(carrier))
-        for bad in (moved, replace(cert, dominating=fam)):
-            assert (_outcome(certificate_derivable, fam, bad)
-                    == _outcome(validate_certificate, fam, bad)), (trial, fam)
+        assert certificate_derivable(fam, moved) is False, (trial, fam)
+        assert validate_certificate(fam, moved) is False, (trial, fam)
+        witness = ClosureWitness(fam, "order-convergent", moved.limit, index_base(fam), moved)
+        assert replay_witness(TailZero() if carrier == TAIL_SEQ else HalfSpace(1, "le", F(0)),
+                              witness) is False, (trial, fam)
     assert templates == {"Explicit", "Shift", "Scale", "CoordDecay", "RunningSupMeet"}
     assert halvings > 100
+
+
+def test_the_interval_convergence_theorem_derives_what_validate_certificate_accepts(
+        monkeypatch):
+    # every certificate the theorem builds, the threshold-map construction and
+    # the independent closed-form one, gets the same answer from both checks;
+    # so does a tampered copy of it: thresholds moved to the index base, or
+    # the dominating family halved
+    import ordertopo.theorems as theorems
+
+    seen = set()
+
+    def both(fam, cert):
+        if cert.threshold_map is None:
+            tampered = replace(cert, dominating=halved(cert.dominating))
+        else:
+            tampered = replace(cert, threshold_map=tuple(
+                (m, index_base(fam)) for m, _ in cert.threshold_map))
+        answers = [certificate_derivable(fam, each) for each in (cert, tampered)]
+        for each, got in zip((cert, tampered), answers):
+            assert got == validate_certificate(fam, each), (fam, each)
+            seen.add((each.threshold_map is not None, got))
+        return answers[0]
+
+    monkeypatch.setattr(theorems, "certificate_derivable", both)
+    rng = random.Random(555008)
+    templates = set()
+    for trial in range(60):
+        carrier = findim(rng.randint(1, 3)) if rng.random() < 0.5 else TAIL_SEQ
+        fam = random_family(rng, carrier, depth=1)
+        templates.add(type(fam).__name__)
+        limit = pointwise_limit(fam)
+        depth = rng.randint(1, 6)
+        if trial % 3 == 2:  # moved by less than the narrowest chain half-width, 1/depth
+            limit = limit + ones(carrier) * F(1, 2 * depth + 1)
+        theorems.verify_interval_convergence_theorem(fam, limit, depth)
+    assert templates == {"Explicit", "Shift", "Scale", "CoordDecay", "RunningSupMeet"}
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_a_convergence_document_revalidates_what_validate_certificate_accepts():

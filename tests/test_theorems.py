@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -196,3 +197,64 @@ def test_interval_convergence_solves_each_open_endpoint_threshold_once(monkeypat
     report = verify_interval_convergence_theorem(Scale(Vec.fin([1, 4]), F(9999, 10000)), x, 5)
     assert report.conclusion == CONFIRMED
     assert calls == 20
+
+
+PINNED_INTERVAL_CONVERGENCE_REPORT = """{
+  "carrier": {
+    "dim": 2,
+    "kind": "findim"
+  },
+  "semantics": "strict-partial",
+  "task": "theorem",
+  "theorem": {
+    "conclusion": "confirmed",
+    "contradicts_expectations": false,
+    "inputs": {
+      "depth": "3",
+      "family": "CoordDecay"
+    },
+    "notes": [],
+    "steps": [
+      {
+        "detail": "consistent over the supplied chain (the countable stand-in for the full neighborhood filter)",
+        "name": "hypothesis",
+        "operation": "tau_e_convergence_report",
+        "outcome": "ok"
+      },
+      {
+        "detail": "widths 2e/m decrease to zero",
+        "name": "width-family",
+        "operation": "monotonicity + order_limit",
+        "outcome": "ok"
+      },
+      {
+        "detail": "per-threshold domination by the widths",
+        "name": "construction-certificate",
+        "operation": "validate_certificate",
+        "outcome": "ok"
+      },
+      {
+        "detail": "template closed form certifies the same limit",
+        "name": "independent-certificate",
+        "operation": "order_converges",
+        "outcome": "ok"
+      }
+    ],
+    "theorem_id": "interval-convergence"
+  }
+}
+"""
+
+
+def test_a_confirmed_interval_convergence_report_keeps_its_bytes():
+    # the certificates are derived, not re-scanned; the construction step's
+    # operation text "validate_certificate" is report wire text and stays
+    from ordertopo.documents import parse_document, run_document
+    from ordertopo.serialize import carrier_to_json, family_to_json, vec_to_json
+
+    x = zero(findim(2))
+    task = {"theorem": {"id": "interval-convergence", "depth": 3, "limit": vec_to_json(x),
+                        "family": family_to_json(CoordDecay(x, Vec.fin([1, 2])))}}
+    doc = parse_document({"carrier": carrier_to_json(findim(2)), "task": task})
+    report = run_document(doc).report
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == PINNED_INTERVAL_CONVERGENCE_REPORT
