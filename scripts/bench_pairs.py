@@ -18,7 +18,8 @@ runs that erred and the runs whose stream ran out and started over
 ("cycled", read from run.py's stderr warning); and per workload the pairs
 whose report digests are equal and, under "over_bound", every metric whose
 median changed for the worse by more than its bound, which the script also
-prints at the end.
+prints at the end.  "src_lines" holds each side's line count of
+``src/ordertopo/*.py``.
 A run that failed, or that its checker found incorrect (``"correct":
 false``), counts as an error and is left out of the medians.  Only the
 standard library is used.
@@ -69,6 +70,11 @@ def copy_tree(dest: Path) -> None:
         if src.is_file():  # a tracked file deleted in the tree is left out
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name)
+
+
+def src_lines(tree: Path) -> int:
+    """The line count of ``src/ordertopo/*.py`` in a tree, as ``wc -l`` gives it."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "ordertopo").glob("*.py"))
 
 
 def run_once(side_dir: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -177,6 +183,7 @@ def main(argv=None) -> int:
         dirs = {"parent": Path(tmp) / "parent", "tree": Path(tmp) / "tree"}
         extract_parent(args.parent, dirs["parent"])
         copy_tree(dirs["tree"])
+        report["src_lines"] = {side: src_lines(dirs[side]) for side in SIDES}
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for n, seed in enumerate(seeds):

@@ -255,21 +255,17 @@ def _run_convergence(doc: ProblemDoc) -> RunResult:
 
 def _run_fit(doc: ProblemDoc) -> RunResult:
     path = "$.task.fit"
-    _expect_keys(doc.payload, path, {"set", "point"}, {"budget", "min-samples"})
+    _expect_keys(doc.payload, path, {"set", "point"}, {"budget"})
     expr = _parse_expr(doc, doc.payload, "set", f"{path}.set")
     point = _parse_vec(doc, doc.payload, "point", f"{path}.point")
     budget = _get_int(doc.payload, "budget", path, default=16, minimum=0)
-    min_samples = _get_int(doc.payload, "min-samples", path, default=1000)
-    fit = interval_fit(point, expr, budget=budget, min_samples=min_samples,
-                       semantics=doc.semantics, config=doc.config)
+    fit = interval_fit(point, expr, budget=budget, semantics=doc.semantics,
+                       config=doc.config)
     lines = [f"fit: dyadic budget {budget}", f"carrier: {doc.carrier}"]
     if fit is None:
         lines.append("result: no interval found within budget")
     else:
-        lines.append(f"result: fitted at shrink exponent {fit.steps} "
-                     f"({fit.evidence}"
-                     + (f", {fit.samples} samples" if fit.evidence == "sampled" else "")
-                     + ")")
+        lines.append(f"result: fitted at shrink exponent {fit.steps} (exact)")
         lines.append(f"interval: [{fit.interval.lo}, {fit.interval.hi}]")
     report = _report_envelope(doc, {"fit": fit_to_json(fit)})
     return RunResult(0, "\n".join(lines) + "\n", report)

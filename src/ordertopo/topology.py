@@ -17,7 +17,6 @@ survive monotone limits, and the rules below never certify anything else.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -76,7 +75,9 @@ from .ordersets import (
     member,
     named_coords,
     open_interval,
+    support_horizon,
 )
+from .rationals import ZERO
 from .records import record
 
 
@@ -449,15 +450,13 @@ def tau_e_convergence_report(F: Family, x: Vec,
 class FitResult:
     interval: Interval
     steps: int  # dyadic shrink exponent used
-    evidence: str  # "exact" | "sampled"
-    samples: int = 0
 
 
 def interval_fit(c: Vec, expr: SetExpr, budget: int = 16,
-                 min_samples: int = 1000,
                  semantics: Semantics = Semantics.STRICT_PARTIAL,
                  config: SearchConfig = DEFAULT_CONFIG) -> Optional[FitResult]:
-    """Find an open interval around c inside the set by dyadic shrinking."""
+    """Find an open interval around c inside the set by dyadic shrinking;
+    a step that ``_interval_contained`` leaves undecided shrinks further."""
     if not member(expr, c):
         raise ValueError("the point lies outside the set")
     openness = is_order_open(expr, config)
@@ -468,18 +467,29 @@ def interval_fit(c: Vec, expr: SetExpr, budget: int = 16,
     for t in range(budget + 1):
         step = Fraction(1, 2 ** t)
         iv = open_interval(add_scaled(c, -step, e), add_scaled(c, step, e), semantics)
-        verdict = _interval_contained(iv, norm)
-        if verdict is True:
-            return FitResult(iv, t, "exact")
-        if verdict is None:
-            ok, n = _contained_by_sampling(iv, norm, min_samples)
-            if ok:
-                return FitResult(iv, t, "sampled", n)
+        if _interval_contained(iv, norm) is True:
+            return FitResult(iv, t)
     return None
 
 
 def _interval_contained(iv: Interval, expr: SetExpr) -> Optional[bool]:
-    """Exact containment of the open interval in the set; None if undecided."""
+    """Exact containment of the open interval (a, b) in the set; None when
+    no rule decides: parts of a union that cover it only together, a
+    strict-uniform open target not strictly around it, a solid hull with no
+    single box around it.
+
+    A leaf's complement holds the interval iff the interval misses the
+    leaf, decided by ``_meets_box``: a closed box directly, a solid hull
+    box by box ([-|g|, |g|]), a translate X + t by shifting the interval by
+    -t.  An ideal, band or ``TailZero`` S is missed iff the box [P(a), P(b)]
+    of ``_pinned_ends`` is, which lies in S.  For a band (an ideal is the
+    band of its generators here), [a, b] meets S in [sup(a, P(a)),
+    inf(b, P(b))], empty when a pinned position has 0 outside [a_p, b_p].
+    For ``TailZero``, a point of the interval in S gives a_tail <= 0 <=
+    b_tail; then that box is [P(a), P(b)], and its position past every
+    prefix carries both tails, so it has two points or more unless a = b,
+    and meets the interval.
+    """
     a, b = iv.lo, iv.hi
     if isinstance(expr, Intersection):
         results = [_interval_contained(iv, p) for p in expr.parts]
@@ -519,6 +529,12 @@ def _interval_contained(iv: Interval, expr: SetExpr) -> Optional[bool]:
             return edge < inner.bound or (single and edge == inner.bound)
         if isinstance(inner, IntervalSet) and inner.interval.kind is IntervalKind.CLOSED:
             return not _meets_box(iv, inner.interval.lo, inner.interval.hi)
+        if isinstance(inner, (Ideal, Band, TailZero)):
+            return not _meets_box(iv, *_pinned_ends(iv, inner))
+        if isinstance(inner, SolidHull):
+            return not any(_meets_box(iv, -abs(g), abs(g)) for g in inner.gens)
+        if isinstance(inner, Translate):
+            return _interval_contained(iv, Translate(Complement(inner.inner), inner.by))
         return None
     if isinstance(expr, (Ideal, Band, TailZero)):
         # a solid subspace holds the interval exactly when it holds both ends
@@ -551,38 +567,16 @@ def _meets_box(iv: Interval, lo: Vec, hi: Vec) -> bool:
     return leq(p, q) and not (p == q and p in (a, b))
 
 
-def _contained_by_sampling(iv: Interval, expr: SetExpr,
-                           min_samples: int) -> tuple[bool, int]:
-    count = 0
-    for z in _interval_lattice(iv, min_samples):
-        count += 1
-        if not member(expr, z):
-            return False, count
-    return True, count
+def _pinned_ends(iv: Interval, expr: SetExpr) -> tuple[Vec, Vec]:
+    """The interval's ends with every position the subspace pins to 0 set to
+    0, written out to one position past every prefix."""
+    gens = () if isinstance(expr, TailZero) else expr.gens
+    width = support_horizon([*gens, iv.lo, iv.hi]) + (iv.lo.tail is not None)
+    free = [not gens or any(g.coord(p) for g in gens) for p in range(1, width + 1)]
+    keep_tail = any(g.tail for g in gens)
 
+    def pin(v: Vec) -> Vec:
+        coords = tuple(v.coord(p) if f else ZERO for p, f in enumerate(free, 1))
+        return Vec(v.carrier, coords, v.tail if v.tail is None or keep_tail else ZERO)
 
-def _interval_lattice(iv: Interval, min_count: int):
-    """Deterministic rational lattice covering the open interval."""
-    a, b = iv.lo, iv.hi
-    if a.carrier.kind == "findim":
-        slots = a.carrier.dim
-        axes = [(a.coord(j), b.coord(j)) for j in range(1, slots + 1)]
-    else:
-        width = max(a.prefix_len, b.prefix_len) + 1
-        axes = [(a.coord(j), b.coord(j)) for j in range(1, width + 1)]
-        axes.append((a.tail, b.tail))
-        slots = width + 1
-    m = 2
-    while m ** slots < min_count + 2:
-        m += 1
-    steps = [
-        [lo + (hi - lo) * Fraction(i, m - 1) for i in range(m)] if lo != hi else [lo]
-        for lo, hi in axes
-    ]
-    for combo in itertools.product(*steps):
-        if a.carrier.kind == "findim":
-            z = Vec(a.carrier, tuple(combo))
-        else:
-            z = Vec(a.carrier, tuple(combo[:-1]), combo[-1])
-        if interval_contains(iv, z):
-            yield z
+    return pin(iv.lo), pin(iv.hi)

@@ -1,5 +1,6 @@
 """The summary of scripts/bench_pairs.py: medians, quartiles, pairs won,
-errors, cycled runs, equal digests and the metrics over their bound."""
+errors, cycled runs, equal digests, the metrics over their bound and each
+side's source line count."""
 
 import importlib.util
 import json
@@ -157,3 +158,32 @@ def test_over_bound_metrics_are_printed_at_the_end(monkeypatch, tmp_path, capsys
 
 def test_seed_ranges_include_both_ends():
     assert bench_pairs.parse_seeds(["1901-1903", "1950"]) == [1901, 1902, 1903, 1950]
+
+
+def write_package(tree, files):
+    pkg = tree / "src" / "ordertopo"
+    pkg.mkdir(parents=True)
+    for name, text in files.items():
+        (pkg / name).write_text(text)
+
+
+def test_src_lines_count_the_package_modules_only(tmp_path):
+    write_package(tmp_path, {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n", "notes.txt": "1\n2\n"})
+    (tmp_path / "src" / "other.py").write_text("w = 4\n")
+    assert bench_pairs.src_lines(tmp_path) == 3
+
+
+def test_each_side_records_its_src_lines(monkeypatch, tmp_path):
+    spec = {"run_seconds": 1, "workloads": [{"name": "converge"}], **SPEC}
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kw:
+                        subprocess.CompletedProcess(argv, 0, stdout="0" * 40 + "\n"))
+    monkeypatch.setattr(bench_pairs, "extract_parent",
+                        lambda rev, dest: write_package(dest, {"a.py": "1\n2\n3\n"}))
+    monkeypatch.setattr(bench_pairs, "copy_tree",
+                        lambda dest: write_package(dest, {"a.py": "1\n", "b.py": "2\n"}))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: result(100, 2.0))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--seeds", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "tree": 2}

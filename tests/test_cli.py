@@ -1,11 +1,15 @@
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ordertopo.cli import main
 from ordertopo.documents import DocumentError, parse_document
+
+CLI_DOCS = Path(__file__).resolve().parent.parent / "perfbench" / "cli_docs"
 
 
 def run_cli(argv):
@@ -173,6 +177,89 @@ def test_fit_outside_point_is_input_error(tmp_path):
     })
     code, _ = run_cli(["fit", path])
     assert code == 1
+
+
+def test_a_fit_between_two_open_gaps_stops_short_of_their_common_end(tmp_path):
+    # (-1, 1/3) u (1/3, 1) at 0: the interval (-1, 1) would hold 1/3
+    path = write_doc(tmp_path, "doc.json", {
+        "carrier": {"kind": "findim", "dim": 1},
+        "task": {"fit": {
+            "set": {"union": [
+                {"interval": {"lo": ["-1"], "hi": ["1/3"], "kind": "open"}},
+                {"interval": {"lo": ["1/3"], "hi": ["1"], "kind": "open"}},
+            ]},
+            "point": ["0"],
+        }},
+    })
+    out_path = tmp_path / "report.json"
+    code, text = run_cli(["fit", path, "--output", str(out_path)])
+    assert code == 0
+    assert "result: fitted at shrink exponent 2 (exact)\n" in text
+    assert "interval: [(-1/4), (1/4)]\n" in text
+    got = json.loads(out_path.read_text())["fit"]["interval"]
+    assert Fraction(got["hi"][0]) < Fraction(1, 3)
+
+
+def test_a_fit_in_a_band_complement_misses_the_band(tmp_path):
+    # the complement of the band of e1 is {z : z_2 != 0}
+    path = write_doc(tmp_path, "doc.json", {
+        "carrier": {"kind": "findim", "dim": 2},
+        "task": {"fit": {
+            "set": {"complement": {"band": {"gens": [["1", "0"]]}}},
+            "point": ["0", "1/3"],
+        }},
+    })
+    out_path = tmp_path / "report.json"
+    code, text = run_cli(["fit", path, "--output", str(out_path)])
+    assert code == 0
+    assert "result: fitted at shrink exponent 2 (exact)\n" in text
+    assert "interval: [(-1/4, 1/12), (1/4, 7/12)]\n" in text
+    got = json.loads(out_path.read_text())["fit"]["interval"]
+    assert Fraction(got["lo"][1]) > 0  # (0, 0) lies below the interval
+
+
+FIT_OUTSIDE_BOX_REPORT = """{
+  "carrier": {
+    "dim": 2,
+    "kind": "findim"
+  },
+  "fit": {
+    "evidence": "exact",
+    "interval": {
+      "hi": [
+        "7/4",
+        "3/4"
+      ],
+      "kind": "open",
+      "lo": [
+        "5/4",
+        "1/4"
+      ]
+    },
+    "samples": 0,
+    "steps": 2
+  },
+  "semantics": "strict-partial",
+  "task": "fit"
+}
+"""
+
+
+def test_a_box_complement_fit_report_keeps_its_bytes(tmp_path):
+    out_path = tmp_path / "report.json"
+    code, _ = run_cli(["fit", str(CLI_DOCS / "fit-outside-box.json"), "--output", str(out_path)])
+    assert code == 0
+    assert out_path.read_text() == FIT_OUTSIDE_BOX_REPORT
+
+
+def test_min_samples_is_an_unknown_fit_field(tmp_path, capsys):
+    doc = box_complement_fit_doc(["1"])
+    doc["task"]["fit"]["min-samples"] = 200
+    path = write_doc(tmp_path, "doc.json", doc)
+    code, text = run_cli(["fit", path])
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert "$.task.fit" in err and "min-samples" in err
 
 
 def test_theorem_example_e1(tmp_path):

@@ -3,10 +3,13 @@
 ``topology._interval_contained`` decides each set shape with ``leq``,
 ``sup``, ``inf`` and ``member``.  The coordinate scans it replaced are kept
 below as references.  Wherever a reference decides, the two must agree;
-the new rule may only decide more, and only for the complement of a closed
-interval, where it names a point of the interval outside the set.
+the new rules may only decide more, and only for the complement of a closed
+box, ideal, band, tail-zero ideal, solid hull or translate of one.  Each
+refusal names a point of the interval outside the set, and each acceptance
+is checked on a lattice of points of the interval.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +17,7 @@ import pytest
 
 from ordertopo.carriers import (
     TAIL_SEQ,
+    Vec,
     aligned,
     findim,
     inf,
@@ -45,8 +49,8 @@ from ordertopo.ordersets import (
     strictly_below,
     support_horizon,
 )
-from ordertopo.topology import _interval_contained, _interval_lattice, normalize_expr
-from randvec import rand_vec
+from ordertopo.topology import _interval_contained, _meets_box, _pinned_ends, normalize_expr
+from randvec import rand_rat, rand_vec
 from test_randomized_oracles import random_set
 
 F = Fraction
@@ -139,20 +143,58 @@ def reference_contained_in_support(a, b, gens):
     return True
 
 
+def interval_lattice(iv, min_count):
+    """A deterministic rational lattice of points of the open interval."""
+    a, b = iv.lo, iv.hi
+    if a.carrier.kind == "findim":
+        axes = [(a.coord(j), b.coord(j)) for j in range(1, a.carrier.dim + 1)]
+    else:
+        width = max(a.prefix_len, b.prefix_len) + 1
+        axes = [(a.coord(j), b.coord(j)) for j in range(1, width + 1)]
+        axes.append((a.tail, b.tail))
+    m = 2
+    while m ** len(axes) < min_count + 2:
+        m += 1
+    steps = [[lo + (hi - lo) * F(i, m - 1) for i in range(m)] if lo != hi else [lo]
+             for lo, hi in axes]
+    for combo in itertools.product(*steps):
+        if a.carrier.kind == "findim":
+            z = Vec(a.carrier, tuple(combo))
+        else:
+            z = Vec(a.carrier, tuple(combo[:-1]), combo[-1])
+        if interval_contains(iv, z):
+            yield z
+
+
+def shifted(iv, by):
+    return Interval(iv.lo - by, iv.hi - by, iv.kind, iv.semantics)
+
+
 def escape_point(iv, expr):
-    """A point of the interval outside the set, where only the new rule
-    refuses: the refusal must come from the complement of a closed box."""
+    """A point of the interval outside the set, where only the new rules
+    refuse: the refusal must come from a closed box inside a complemented
+    leaf (the leaf itself, a box of a solid hull or a subspace's pinned
+    box), translated or not."""
     if isinstance(expr, Intersection):
         part = next(p for p in expr.parts if _interval_contained(iv, p) is False)
         assert reference_contained(iv, part) is None
         return escape_point(iv, part)
     if isinstance(expr, Translate):
-        shifted = Interval(iv.lo - expr.by, iv.hi - expr.by, iv.kind, iv.semantics)
-        return escape_point(shifted, expr.inner) + expr.by
-    assert isinstance(expr, Complement) and isinstance(expr.inner, IntervalSet)
-    box = expr.inner.interval
-    assert box.kind is IntervalKind.CLOSED
-    p, q = sup(iv.lo, box.lo), inf(iv.hi, box.hi)
+        return escape_point(shifted(iv, expr.by), expr.inner) + expr.by
+    assert isinstance(expr, Complement)
+    leaf = expr.inner
+    if isinstance(leaf, Translate):
+        return escape_point(shifted(iv, leaf.by), Complement(leaf.inner)) + leaf.by
+    if isinstance(leaf, IntervalSet):
+        assert leaf.interval.kind is IntervalKind.CLOSED
+        boxes = [(leaf.interval.lo, leaf.interval.hi)]
+    elif isinstance(leaf, SolidHull):
+        boxes = [(-abs(g), abs(g)) for g in leaf.gens]
+    else:
+        assert isinstance(leaf, (Ideal, Band, TailZero))
+        boxes = [_pinned_ends(iv, leaf)]
+    lo, hi = next(box for box in boxes if _meets_box(iv, *box))
+    p, q = sup(iv.lo, lo), inf(iv.hi, hi)
     return p if p == q else scale(F(1, 2), p + q)
 
 
@@ -184,7 +226,7 @@ def check_against_reference(iv, expr):
         z = escape_point(iv, expr)
         assert interval_contains(iv, z) and not member(expr, z)
     if got is True:
-        assert all(member(expr, z) for z in _interval_lattice(iv, 30))
+        assert all(member(expr, z) for z in interval_lattice(iv, 30))
     return want is not None
 
 
@@ -229,3 +271,68 @@ def test_touching_boxes_are_decided_exactly():
     for lo, hi, inside in [(-1, 0, True), (2, 3, True), (1, 1, False), (0, 1, False)]:
         box = IntervalSet(Interval(ones(carrier) * lo, ones(carrier) * hi))
         assert _interval_contained(iv, Complement(box)) is inside
+
+
+SMALL = (F(0), F(0), F(1), F(-1), F(1, 2), F(2))  # zeros make pinned positions common
+
+
+def small_vec(rng, carrier, choices=SMALL):
+    if carrier.kind == "findim":
+        return Vec(carrier, tuple(rng.choice(choices) for _ in range(carrier.dim)))
+    prefix = tuple(rng.choice(choices) for _ in range(rng.randint(0, 2)))
+    return Vec(carrier, prefix, rng.choice(choices))
+
+
+def new_leaf(rng, carrier):
+    """(kind, complemented leaf) for the shapes only the new rules decide."""
+    kinds = ["band", "ideal", "solid-hull"] + (["tail-zero"] if carrier == TAIL_SEQ else [])
+    kind = rng.choice(kinds)
+    if kind == "tail-zero":
+        leaf = TailZero()
+    else:
+        gens = tuple(small_vec(rng, carrier) for _ in range(rng.randint(1, 2)))
+        if all(g.is_zero() for g in gens):
+            gens = (ones(carrier),)
+        leaf = {"band": Band, "ideal": Ideal, "solid-hull": SolidHull}[kind](gens)
+    if rng.random() < 0.3:
+        return "translate", Complement(Translate(leaf, small_vec(rng, carrier)))
+    return kind, Complement(leaf)
+
+
+def placed_interval(rng, carrier, semantics):
+    """An interval near the origin or moved off it, where it often misses
+    a subspace or a hull: a pinned position then lies wholly on one side."""
+    a = small_vec(rng, carrier, [rand_rat(rng, 4, 4) for _ in range(4)])
+    width = abs(small_vec(rng, carrier, SMALL[2:]))
+    if semantics is Semantics.STRICT_UNIFORM:
+        width = width + scale(F(1, rng.randint(1, 4)), ones(carrier))
+    return open_interval(a, a + width, semantics)
+
+
+@pytest.mark.parametrize("semantics", list(Semantics))
+@pytest.mark.parametrize("carrier", CARRIERS)
+def test_new_leaves_are_decided_both_ways(carrier, semantics):
+    rng = random.Random(f"leaves-{carrier}-{semantics.value}")
+    answers = {}
+    for trial in range(200):
+        kind, expr = new_leaf(rng, carrier)
+        iv = placed_interval(rng, carrier, semantics)
+        got = _interval_contained(iv, expr)
+        assert got is not None
+        check_against_reference(iv, expr)
+        answers.setdefault(kind, set()).add(got)
+    assert len(answers) == 4 + (carrier == TAIL_SEQ)
+    if carrier == findim(1):
+        # a nonzero generator spans Q, so the complement of its band is empty
+        assert answers.pop("band") == answers.pop("ideal") == {False}
+    assert all(seen == {True, False} for seen in answers.values()), answers
+
+
+def test_a_tail_zero_complement_is_missed_only_with_both_tails_on_one_side():
+    # (0, e) on tailseq holds e_1, which has a zero tail; the pinned box
+    # reaches one position past the prefixes, so it is not the single point 0
+    s = Complement(TailZero())
+    e = ones(TAIL_SEQ)
+    assert _interval_contained(open_interval(zero(TAIL_SEQ), e), s) is False
+    assert _interval_contained(open_interval(e * F(1, 2), e), s) is True
+    assert _interval_contained(open_interval(Vec.seq([-1], F(1, 2)), e), s) is True
