@@ -88,7 +88,6 @@ from .theorems import (
 from .topology import (
     ClosureWitness,
     FitResult,
-    SearchConfig,
     TauEReport,
     Verdict,
     check_order_closed,

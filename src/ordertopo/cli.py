@@ -1,10 +1,11 @@
 """Command-line front door.
 
 One document per invocation, verdicts to stdout, optionally a JSON report
-file.  Exit codes: 0 for any computed verdict (refutations included), 1
-for input errors and for a report file that cannot be written, 2 for
-internal errors, 3 when a theorem report contradicts its expected
-conclusion.
+file.  The document is the only input: the one flag, ``--output``, says
+where the report goes, not what is asked.  Exit codes: 0 for any computed
+verdict (refutations included) and for ``--help``, 1 for usage and input
+errors and for a report file that cannot be written, 2 for internal
+errors, 3 when a theorem report contradicts its expected conclusion.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .documents import parse_document, parse_grid_scale, run_document
-from .ordersets import Semantics
-from .records import replace
+from .documents import parse_document, run_document
 
 COMMANDS = {
     "check-set": "check-set",
@@ -36,15 +35,17 @@ def build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         p = sub.add_parser(command, help=f"run a {command} document")
         p.add_argument("document", help="path to the problem document (JSON)")
-        p.add_argument("--semantics", choices=[s.value for s in Semantics],
-                       help="override the document's strictness semantics")
-        p.add_argument("--grid-scale", help="scale factor for search grids (rational)")
         p.add_argument("--output", help="write the JSON report to this path")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 0 after --help and 2 on a usage error, but 2 is
+        # reserved for internal errors; its message is already on stderr
+        return 1 if stop.code else 0
     try:
         raw = json.loads(Path(args.document).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -58,7 +59,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         doc = parse_document(raw, expected_task=COMMANDS[args.command])
-        doc = _apply_overrides(doc, args)
         result = run_document(doc)
     except ValueError as err:  # DocumentError included
         print(f"error: {err}", file=sys.stderr)
@@ -75,15 +75,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: cannot write report: {err}", file=sys.stderr)
             return 1
     return result.exit_code
-
-
-def _apply_overrides(doc, args):
-    if args.semantics:
-        doc = replace(doc, semantics=Semantics(args.semantics))
-    if args.grid_scale is not None:
-        scale = parse_grid_scale(args.grid_scale, "--grid-scale")
-        doc = replace(doc, config=replace(doc.config, grid_scale=scale))
-    return doc
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,20 +7,18 @@ into a silently different problem.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .carriers import Carrier, Vec
 from .families import Certificate, certificate_derivable, order_converges
 from .ordersets import Semantics, SetExpr, check_solid
-from .records import record, replace
+from .records import record
 from .serialize import (
     carrier_from_json,
     carrier_to_json,
     certificate_to_json,
     family_from_json,
     fit_to_json,
-    rat_from_json,
     refutation_to_json,
     setexpr_from_json,
     solidity_to_json,
@@ -36,8 +34,6 @@ from .theorems import (
     verify_interval_fit_probe,
 )
 from .topology import (
-    DEFAULT_CONFIG,
-    SearchConfig,
     check_order_closed,
     check_quasi_order_closed,
     interval_fit,
@@ -81,7 +77,6 @@ class ProblemDoc:
     semantics: Semantics
     task_kind: str
     payload: dict
-    config: SearchConfig
 
 
 @record
@@ -116,7 +111,7 @@ def _get_int(obj: dict, key: str, path: str, default: Optional[int] = None,
 
 def parse_document(obj: Any, expected_task: Optional[str] = None) -> ProblemDoc:
     """Validate a raw JSON document; unknown fields are rejected."""
-    _expect_keys(obj, "$", {"carrier", "task"}, {"semantics", "search"})
+    _expect_keys(obj, "$", {"carrier", "task"}, {"semantics"})
     try:
         carrier = carrier_from_json(obj["carrier"])
     except ValueError as err:
@@ -126,7 +121,6 @@ def parse_document(obj: Any, expected_task: Optional[str] = None) -> ProblemDoc:
         semantics = Semantics(semantics_raw)
     except ValueError as err:
         raise DocumentError("$.semantics", f"unknown semantics {semantics_raw!r}") from err
-    config = _parse_search(obj.get("search"), "$.search")
     task = obj["task"]
     if not isinstance(task, dict) or len(task) != 1:
         raise DocumentError("$.task", "expected exactly one task block")
@@ -138,28 +132,7 @@ def parse_document(obj: Any, expected_task: Optional[str] = None) -> ProblemDoc:
                                       f"but the command expects {expected_task!r}")
     if not isinstance(payload, dict):
         raise DocumentError(f"$.task.{kind}", "expected an object")
-    return ProblemDoc(carrier, semantics, kind, payload, config)
-
-
-def _parse_search(obj: Any, path: str) -> SearchConfig:
-    if obj is None:
-        return DEFAULT_CONFIG
-    _expect_keys(obj, path, set(), {"grid-scale"})
-    if "grid-scale" not in obj:
-        return DEFAULT_CONFIG
-    scale = parse_grid_scale(obj["grid-scale"], f"{path}.grid-scale")
-    return replace(DEFAULT_CONFIG, grid_scale=scale)
-
-
-def parse_grid_scale(raw: Any, path: str) -> Fraction:
-    """The search-grid scale, a positive rational; errors point at ``path``."""
-    try:
-        scale = rat_from_json(raw)
-    except ValueError as err:
-        raise DocumentError(path, str(err)) from err
-    if scale <= 0:
-        raise DocumentError(path, "must be positive")
-    return scale
+    return ProblemDoc(carrier, semantics, kind, payload)
 
 
 def run_document(doc: ProblemDoc) -> RunResult:
@@ -203,7 +176,7 @@ def _run_check_set(doc: ProblemDoc) -> RunResult:
             lines.append(f"witness inside: {x}")
             lines.append(f"dominated outside: {y}")
     elif isinstance(mode, str) and mode in CHECK_MODES:
-        verdict = CHECK_MODES[mode](expr, doc.config, doc.carrier)
+        verdict = CHECK_MODES[mode](expr, doc.carrier)
         body = verdict_to_json(verdict)
         lines.append(f"status: {verdict.status}")
         if verdict.status == "certified":
@@ -259,8 +232,7 @@ def _run_fit(doc: ProblemDoc) -> RunResult:
     expr = _parse_expr(doc, doc.payload, "set", f"{path}.set")
     point = _parse_vec(doc, doc.payload, "point", f"{path}.point")
     budget = _get_int(doc.payload, "budget", path, default=16, minimum=0)
-    fit = interval_fit(point, expr, budget=budget, semantics=doc.semantics,
-                       config=doc.config)
+    fit = interval_fit(point, expr, budget=budget, semantics=doc.semantics)
     lines = [f"fit: dyadic budget {budget}", f"carrier: {doc.carrier}"]
     if fit is None:
         lines.append("result: no interval found within budget")
@@ -281,7 +253,7 @@ def _run_theorem(doc: ProblemDoc) -> RunResult:
     tid = THEOREM_ALIASES[raw_id]
     if tid == "example-e1":
         _expect_keys(doc.payload, path, {"id"}, set())
-        report = verify_example_e1(doc.semantics, doc.config)
+        report = verify_example_e1(doc.semantics)
     elif tid == "interval-convergence":
         _expect_keys(doc.payload, path, {"id", "family", "limit"}, {"depth"})
         try:
@@ -295,7 +267,7 @@ def _run_theorem(doc: ProblemDoc) -> RunResult:
         _expect_keys(doc.payload, path, {"id", "set"}, set())
         expr = _parse_expr(doc, doc.payload, "set", f"{path}.set")
         try:
-            report = verify_band_proposition(expr, doc.config)
+            report = verify_band_proposition(expr)
         except ValueError as err:
             raise DocumentError(f"{path}.set", str(err)) from err
     else:
@@ -311,8 +283,7 @@ def _run_theorem(doc: ProblemDoc) -> RunResult:
                 raise DocumentError(f"{path}.sets[{i}]", str(err)) from err
         samples = _get_int(doc.payload, "samples", path, default=50)
         try:
-            report = verify_interval_fit_probe(exprs, samples, carrier=doc.carrier,
-                                               config=doc.config)
+            report = verify_interval_fit_probe(exprs, samples, carrier=doc.carrier)
         except ValueError as err:
             raise DocumentError(f"{path}.sets", str(err)) from err
     lines = [f"theorem: {report.theorem_id}"]

@@ -87,16 +87,6 @@ GEN_SCALES = (Fraction(1, 2), Fraction(1), Fraction(2))  # generator multiples
 MAX_CANDIDATES = 600  # candidates tried per search
 
 
-@record
-class SearchConfig:
-    """What a document may set for the witness search."""
-
-    grid_scale: Fraction = Fraction(1)
-
-
-DEFAULT_CONFIG = SearchConfig()
-
-
 # -- normalization -----------------------------------------------------------------
 
 
@@ -237,7 +227,7 @@ def _certify_closed(expr: SetExpr) -> Optional[list[str]]:
     return None
 
 
-def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
+def _witness_candidates(expr: SetExpr, carrier: Carrier,
                         include_nonmonotone: bool) -> list[Family]:
     """The deterministic candidate grid, most promising templates first,
     cut at ``MAX_CANDIDATES``; an unknown report counts exactly these."""
@@ -251,13 +241,11 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
     for j in range(1, span + 1):
         directions.append(unit(carrier, j))
         directions.append(-unit(carrier, j))
-    gs = config.grid_scale
-    steps = [scale(gs, p) for p in directions]
     for center in anchors:
-        for p in steps:
+        for p in directions:
             out.append(CoordDecay(center, p))
     if include_nonmonotone and span >= 2:
-        mixed = [scale(gs, unit(carrier, i) - unit(carrier, i + 1)) for i in range(1, span)]
+        mixed = [unit(carrier, i) - unit(carrier, i + 1) for i in range(1, span)]
         for center in anchors:
             for p in mixed:
                 out.append(CoordDecay(center, p))
@@ -266,7 +254,7 @@ def _witness_candidates(expr: SetExpr, carrier: Carrier, config: SearchConfig,
         if ag.is_zero():
             continue
         for s in GEN_SCALES:
-            v = scale(s * gs, ag)
+            v = scale(s, ag)
             for lam in LAMBDAS:
                 out.append(Scale(v, lam))
     return _dedup(out)[:MAX_CANDIDATES]
@@ -296,7 +284,7 @@ def _try_witness(expr: SetExpr, family: Family,
     return ClosureWitness(family, "order-convergent", limit, ev.index, certificate)
 
 
-def _closure_check(expr: SetExpr, config: SearchConfig, include_nonmonotone: bool,
+def _closure_check(expr: SetExpr, include_nonmonotone: bool,
                    carrier: Optional[Carrier]) -> Verdict:
     """Rules first, then the witness search; ``carrier`` is searched when the
     set names no vector of its own, and must hold every coordinate it names."""
@@ -314,37 +302,35 @@ def _closure_check(expr: SetExpr, config: SearchConfig, include_nonmonotone: boo
     if carrier is None:
         return Verdict("unknown",
                        search_report=SearchReport(0, "no carrier to search"))
-    candidates = _witness_candidates(norm, carrier, config, include_nonmonotone)
+    candidates = _witness_candidates(norm, carrier, include_nonmonotone)
     for family in candidates:
         hit = _try_witness(norm, family, include_nonmonotone)
         if hit is not None:
             return Verdict("refuted", witness=hit)
     count = len(candidates)
+    # the grid is fixed; " scale=1" closes the report's wire text
     grids = (f"templates={count} lambdas={list(map(str, LAMBDAS))} "
-             f"gen_scales={list(map(str, GEN_SCALES))} scale={config.grid_scale}")
+             f"gen_scales={list(map(str, GEN_SCALES))} scale=1")
     return Verdict("unknown", search_report=SearchReport(count, grids))
 
 
-def check_quasi_order_closed(expr: SetExpr, config: SearchConfig = DEFAULT_CONFIG,
-                             carrier: Optional[Carrier] = None) -> Verdict:
+def check_quasi_order_closed(expr: SetExpr, carrier: Optional[Carrier] = None) -> Verdict:
     """Certify or refute closedness under monotone order limits.
 
     ``carrier`` is the space to search when the set names no vector; a
     half-space coordinate outside it raises ValueError.
     """
-    return _closure_check(expr, config, include_nonmonotone=False, carrier=carrier)
+    return _closure_check(expr, include_nonmonotone=False, carrier=carrier)
 
 
-def check_order_closed(expr: SetExpr, config: SearchConfig = DEFAULT_CONFIG,
-                       carrier: Optional[Carrier] = None) -> Verdict:
+def check_order_closed(expr: SetExpr, carrier: Optional[Carrier] = None) -> Verdict:
     """Like the quasi check, but witnesses may be any order-convergent family."""
-    return _closure_check(expr, config, include_nonmonotone=True, carrier=carrier)
+    return _closure_check(expr, include_nonmonotone=True, carrier=carrier)
 
 
-def is_order_open(expr: SetExpr, config: SearchConfig = DEFAULT_CONFIG,
-                  carrier: Optional[Carrier] = None) -> Verdict:
+def is_order_open(expr: SetExpr, carrier: Optional[Carrier] = None) -> Verdict:
     """Openness in the quasi-order topology: the complement must be closed."""
-    return check_quasi_order_closed(Complement(expr), config, carrier)
+    return check_quasi_order_closed(Complement(expr), carrier)
 
 
 REPLAY_HORIZON = 64  # indices from in_set_from whose membership is replayed
@@ -453,13 +439,12 @@ class FitResult:
 
 
 def interval_fit(c: Vec, expr: SetExpr, budget: int = 16,
-                 semantics: Semantics = Semantics.STRICT_PARTIAL,
-                 config: SearchConfig = DEFAULT_CONFIG) -> Optional[FitResult]:
+                 semantics: Semantics = Semantics.STRICT_PARTIAL) -> Optional[FitResult]:
     """Find an open interval around c inside the set by dyadic shrinking;
     a step that ``_interval_contained`` leaves undecided shrinks further."""
     if not member(expr, c):
         raise ValueError("the point lies outside the set")
-    openness = is_order_open(expr, config)
+    openness = is_order_open(expr)
     if openness.status == "refuted":
         raise ValueError("the set is not order open")
     norm = normalize_expr(expr)
@@ -475,8 +460,12 @@ def interval_fit(c: Vec, expr: SetExpr, budget: int = 16,
 def _interval_contained(iv: Interval, expr: SetExpr) -> Optional[bool]:
     """Exact containment of the open interval (a, b) in the set; None when
     no rule decides: parts of a union that cover it only together, a
-    strict-uniform open target not strictly around it, a solid hull with no
-    single box around it.
+    strict-partial interval in a strict-uniform open target not strictly
+    around it, a solid hull with no single box around it.
+
+    Two strict-uniform open intervals are products of open coordinate
+    intervals, tail included, so one holds the other exactly when it does
+    so coordinate by coordinate: lo <= a and b <= hi.
 
     A leaf's complement holds the interval iff the interval misses the
     leaf, decided by ``_meets_box``: a closed box directly, a solid hull
@@ -508,7 +497,8 @@ def _interval_contained(iv: Interval, expr: SetExpr) -> Optional[bool]:
         return None
     if isinstance(expr, IntervalSet):
         target = expr.interval
-        if target.kind is IntervalKind.CLOSED or target.semantics is Semantics.STRICT_PARTIAL:
+        if (target.kind is IntervalKind.CLOSED or target.semantics is Semantics.STRICT_PARTIAL
+                or iv.semantics is Semantics.STRICT_UNIFORM):
             return leq(target.lo, a) and leq(b, target.hi)
         if strictly_everywhere_below(target.lo, a) and strictly_everywhere_below(b, target.hi):
             return True

@@ -425,8 +425,8 @@ def test_parse_document_strictness():
             })
 
 
-def open_box_complement_doc(search=None):
-    doc = {
+def open_box_complement_doc():
+    return {
         "carrier": {"kind": "findim", "dim": 3},
         "task": {"check-set": {
             "set": {"complement": {"interval": {"lo": ["0", "0", "0"], "hi": ["1", "1", "1"],
@@ -434,42 +434,43 @@ def open_box_complement_doc(search=None):
             "mode": "order-closed",
         }},
     }
-    if search is not None:
-        doc["search"] = search
-    return doc
 
 
-def grids_of(tmp_path, doc, flags=()):
-    path = write_doc(tmp_path, "doc.json", doc)
-    out_path = tmp_path / "report.json"
-    code, text = run_cli(["check-set", path, "--output", str(out_path), *flags])
-    assert code == 0 and "status: unknown" in text
-    return json.loads(out_path.read_text())["verdict"]["search_report"]["grids"]
-
-
-def test_grid_scale_default_flag_and_document(tmp_path):
-    assert grids_of(tmp_path, open_box_complement_doc()).endswith(" scale=1")
-    by_flag = grids_of(tmp_path, open_box_complement_doc(), ["--grid-scale", "1/2"])
-    by_doc = grids_of(tmp_path, open_box_complement_doc({"grid-scale": "1/2"}))
-    assert by_flag == by_doc and by_doc.endswith(" scale=1/2")
-
-
-def test_grid_scale_flag_overrides_the_document(tmp_path):
-    doc = open_box_complement_doc({"grid-scale": "2"})
-    assert grids_of(tmp_path, doc).endswith(" scale=2")
-    assert grids_of(tmp_path, doc, ["--grid-scale", "1/2"]).endswith(" scale=1/2")
-
-
-@pytest.mark.parametrize("bad", ["0", "-1", "abc"])
-def test_bad_grid_scale_is_input_error(tmp_path, capsys, bad):
+def test_the_grids_of_an_unknown_report_end_in_scale_1(tmp_path):
+    # the search grid is fixed; " scale=1" stays in the report's wire text
     path = write_doc(tmp_path, "doc.json", open_box_complement_doc())
-    code, text = run_cli(["check-set", path, "--grid-scale", bad])
+    out_path = tmp_path / "report.json"
+    code, text = run_cli(["check-set", path, "--output", str(out_path)])
+    assert code == 0 and "status: unknown" in text
+    grids = json.loads(out_path.read_text())["verdict"]["search_report"]["grids"]
+    assert grids.endswith(" scale=1")
+
+
+@pytest.mark.parametrize("flag, value", [("--grid-scale", "1/2"),
+                                         ("--semantics", "strict-uniform")])
+def test_a_deleted_override_flag_is_a_usage_error(tmp_path, capsys, flag, value):
+    path = write_doc(tmp_path, "doc.json", open_box_complement_doc())
+    code, text = run_cli(["check-set", path, flag, value])
     assert code == 1 and text == ""
-    assert "--grid-scale" in capsys.readouterr().err
-    path = write_doc(tmp_path, "bad.json", open_box_complement_doc({"grid-scale": bad}))
-    code, text = run_cli(["check-set", path])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_a_missing_document_argument_is_a_usage_error(capsys):
+    code, text = run_cli(["check-set"])
     assert code == 1 and text == ""
-    assert "$.search.grid-scale" in capsys.readouterr().err
+    assert "document" in capsys.readouterr().err
+
+
+def test_help_exits_0():
+    code, text = run_cli(["check-set", "--help"])
+    assert code == 0 and "--output" in text
+
+
+def test_a_search_block_is_an_unknown_field(tmp_path, capsys):
+    doc = dict(open_box_complement_doc(), search={"grid-scale": "1/2"})
+    code, text = run_cli(["check-set", write_doc(tmp_path, "doc.json", doc)])
+    assert code == 1 and text == ""
+    assert "error: $: unknown fields: ['search']" in capsys.readouterr().err
 
 
 def box_complement_fit_doc(hi):
@@ -480,13 +481,6 @@ def box_complement_fit_doc(hi):
             "point": ["-1"],
         }},
     }
-
-
-def test_zero_denominator_grid_scale_is_input_error(tmp_path, capsys):
-    path = write_doc(tmp_path, "doc.json", box_complement_fit_doc(["1"]))
-    code, text = run_cli(["fit", path, "--grid-scale", "1/0"])
-    assert code == 1 and text == ""
-    assert "error: --grid-scale: zero denominator" in capsys.readouterr().err
 
 
 def test_zero_denominator_in_a_document_is_input_error(tmp_path, capsys):

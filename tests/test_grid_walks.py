@@ -37,7 +37,6 @@ from ordertopo.ordersets import (
     open_interval,
 )
 from ordertopo.topology import (
-    DEFAULT_CONFIG,
     _try_witness,
     _witness_candidates,
     check_order_closed,
@@ -113,7 +112,7 @@ def test_chain_probes_match_the_eager_walk(carrier, expr):
         norm = normalize_expr(target)
         searched = carrier_of(norm)  # a set without a vector is not searched
         candidates = [] if searched is None else _witness_candidates(
-            norm, searched, DEFAULT_CONFIG, nonmonotone)
+            norm, searched, nonmonotone)
         hits = (_try_witness(norm, fam, nonmonotone) for fam in candidates)
         first = next((hit for hit in hits if hit is not None), None)
         if got.status == "refuted":

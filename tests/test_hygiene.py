@@ -9,16 +9,19 @@ No module imports ``dataclasses``: the value types are ``records.record``
 classes, and importing the CLI loads neither ``dataclasses`` nor
 ``inspect``, since every CLI verdict runs in a fresh process.  No class
 writes its own equality, hash, frozen setters or slots: ``records.record``
-is the one implementation of a frozen value.
+is the one implementation of a frozen value.  Every CLI option is named in
+the README's CLI section and passed by a call in ``tests/test_cli.py``.
 """
 
+import argparse
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ordertopo"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ordertopo"
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -150,3 +153,25 @@ def test_no_class_writes_record_machinery_by_hand():
                 if attr in RECORD_MACHINERY or (attr == "__slots__" and not empty_slots):
                     found.append(f"{name}:{node.lineno}: {node.name}.{attr}")
     assert found == []
+
+
+def _cli_options() -> set[str]:
+    from ordertopo.cli import build_parser
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for p in (parser, *subparsers.choices.values()) for action in p._actions
+            if not isinstance(action, argparse._HelpAction) for flag in action.option_strings}
+
+
+def test_every_cli_option_is_documented_and_tested():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    calls = [node for node in ast.walk(ast.parse((ROOT / "tests" / "test_cli.py").read_text()))
+             if isinstance(node, ast.Call)]
+    passed = {node.value for call in calls for node in ast.walk(call)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    options = _cli_options()
+    assert options
+    assert sorted(o for o in options if o not in section) == []
+    assert sorted(o for o in options if o not in passed) == []

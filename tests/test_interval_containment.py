@@ -5,8 +5,9 @@
 below as references.  Wherever a reference decides, the two must agree;
 the new rules may only decide more, and only for the complement of a closed
 box, ideal, band, tail-zero ideal, solid hull or translate of one.  Each
-refusal names a point of the interval outside the set, and each acceptance
-is checked on a lattice of points of the interval.
+refusal of those, and each refusal of a strict-uniform interval by a
+strict-uniform target, names a point of the interval outside the set; each
+acceptance is checked on a lattice of points of the interval.
 """
 
 import itertools
@@ -49,7 +50,13 @@ from ordertopo.ordersets import (
     strictly_below,
     support_horizon,
 )
-from ordertopo.topology import _interval_contained, _meets_box, _pinned_ends, normalize_expr
+from ordertopo.topology import (
+    _interval_contained,
+    _meets_box,
+    _pinned_ends,
+    interval_fit,
+    normalize_expr,
+)
 from randvec import rand_rat, rand_vec
 from test_randomized_oracles import random_set
 
@@ -80,6 +87,9 @@ def reference_contained(iv, expr):
         if target.kind is IntervalKind.CLOSED:
             return leq(target.lo, a) and leq(b, target.hi)
         if target.semantics is Semantics.STRICT_PARTIAL:
+            return leq(target.lo, a) and leq(b, target.hi)
+        if iv.semantics is Semantics.STRICT_UNIFORM:
+            # both are products of open coordinate intervals, tail included
             return leq(target.lo, a) and leq(b, target.hi)
         if strictly_everywhere_below(target.lo, a) and strictly_everywhere_below(b, target.hi):
             return True
@@ -171,17 +181,24 @@ def shifted(iv, by):
 
 
 def escape_point(iv, expr):
-    """A point of the interval outside the set, where only the new rules
-    refuse: the refusal must come from a closed box inside a complemented
-    leaf (the leaf itself, a box of a solid hull or a subspace's pinned
-    box), translated or not."""
+    """A point of the interval outside the set that ``_interval_contained``
+    refuses, or None where no refusing part is one built here: a
+    strict-uniform interval refused by a strict-uniform target, or a closed
+    box inside a complemented leaf (the leaf itself, a box of a solid hull
+    or a subspace's pinned box), translated or not."""
     if isinstance(expr, Intersection):
-        part = next(p for p in expr.parts if _interval_contained(iv, p) is False)
-        assert reference_contained(iv, part) is None
-        return escape_point(iv, part)
+        points = (escape_point(iv, p) for p in expr.parts
+                  if _interval_contained(iv, p) is False)
+        return next((z for z in points if z is not None), None)
     if isinstance(expr, Translate):
-        return escape_point(shifted(iv, expr.by), expr.inner) + expr.by
-    assert isinstance(expr, Complement)
+        z = escape_point(shifted(iv, expr.by), expr.inner)
+        return None if z is None else z + expr.by
+    if isinstance(expr, IntervalSet):
+        target = expr.interval
+        uniform = iv.semantics is target.semantics is Semantics.STRICT_UNIFORM
+        return uniform_escape(iv, target) if uniform and target.kind is IntervalKind.OPEN else None
+    if not isinstance(expr, Complement):
+        return None
     leaf = expr.inner
     if isinstance(leaf, Translate):
         return escape_point(shifted(iv, leaf.by), Complement(leaf.inner)) + leaf.by
@@ -190,12 +207,38 @@ def escape_point(iv, expr):
         boxes = [(leaf.interval.lo, leaf.interval.hi)]
     elif isinstance(leaf, SolidHull):
         boxes = [(-abs(g), abs(g)) for g in leaf.gens]
-    else:
-        assert isinstance(leaf, (Ideal, Band, TailZero))
+    elif isinstance(leaf, (Ideal, Band, TailZero)):
         boxes = [_pinned_ends(iv, leaf)]
+    else:
+        return None
     lo, hi = next(box for box in boxes if _meets_box(iv, *box))
     p, q = sup(iv.lo, lo), inf(iv.hi, hi)
     return p if p == q else scale(F(1, 2), p + q)
+
+
+def uniform_escape(iv, target):
+    """A point of the strict-uniform interval (a, b) outside the
+    strict-uniform target (lo, hi): at a position, or the tail, where a < lo
+    or hi < b, a value of (a, b) past the target's end; midpoints elsewhere."""
+    a, b, lo, hi = iv.lo, iv.hi, target.lo, target.hi
+    mid = scale(F(1, 2), a + b)
+    if a.carrier.kind == "findim":
+        width = a.carrier.dim
+    else:
+        width = max(v.prefix_len for v in (a, b, lo, hi))
+    coords = [mid.coord(p) for p in range(1, width + 1)]
+    tail = mid.tail
+    ends = [(a.coord(p), b.coord(p), lo.coord(p), hi.coord(p)) for p in range(1, width + 1)]
+    if tail is not None:
+        ends.append((a.tail, b.tail, lo.tail, hi.tail))
+    pos, (ap, bp, lop, hip) = next((pos, e) for pos, e in enumerate(ends)
+                                   if e[0] < e[2] or e[3] < e[1])
+    past = (ap + min(bp, lop)) / 2 if ap < lop else (max(ap, hip) + bp) / 2
+    if pos < width:
+        coords[pos] = past
+    else:
+        tail = past
+    return Vec(a.carrier, tuple(coords), tail)
 
 
 def random_interval(rng, carrier, semantics, anchors):
@@ -222,9 +265,11 @@ def check_against_reference(iv, expr):
     want, got = reference_contained(iv, expr), _interval_contained(iv, expr)
     if want is not None:
         assert got is want
-    elif got is False:
+    if got is False:
         z = escape_point(iv, expr)
-        assert interval_contains(iv, z) and not member(expr, z)
+        assert z is not None or want is False
+        if z is not None:
+            assert interval_contains(iv, z) and not member(expr, z)
     if got is True:
         assert all(member(expr, z) for z in interval_lattice(iv, 30))
     return want is not None
@@ -262,6 +307,38 @@ def test_box_complements_match_the_reference(carrier, semantics):
             iv = Interval(iv.lo + expr.by, iv.hi + expr.by, iv.kind, iv.semantics)
         undecided += not check_against_reference(iv, expr)
     assert undecided > 10
+
+
+@pytest.mark.parametrize("carrier", CARRIERS)
+def test_strict_uniform_targets_are_decided_exactly(carrier):
+    # targets spanned by the interval's ends, its midpoint and random
+    # vectors, so that touching and overhanging ends are both common
+    uniform = Semantics.STRICT_UNIFORM
+    rng = random.Random(f"uniform-{carrier}")
+    answers = set()
+    for trial in range(150):
+        iv = random_interval(rng, carrier, uniform, [])
+        ends = [iv.lo, iv.hi, scale(F(1, 2), iv.lo + iv.hi),
+                rand_vec(rng, carrier, max_den=2, max_prefix=2)]
+        lo = inf(rng.choice(ends), rng.choice(ends)) - scale(F(rng.randint(0, 1)), ones(carrier))
+        hi = sup(rng.choice(ends), rng.choice(ends)) + scale(F(rng.randint(0, 1)), ones(carrier))
+        if not strictly_everywhere_below(lo, hi):
+            continue
+        expr = IntervalSet(open_interval(lo, hi, uniform))
+        if rng.random() < 0.3:
+            expr = Intersection((expr, normalize_expr(random_set(rng, carrier, depth=1))))
+        check_against_reference(iv, expr)
+        answers.add(_interval_contained(iv, expr))
+    assert {True, False} <= answers
+
+
+def test_a_strict_uniform_fit_touches_its_strict_uniform_target():
+    # (0, 2)^2 lies in itself, so the first dyadic step already fits
+    uniform = Semantics.STRICT_UNIFORM
+    target = IntervalSet(open_interval(Vec.fin([0, 0]), Vec.fin([2, 2]), uniform))
+    fit = interval_fit(Vec.fin([1, 1]), target, semantics=uniform)
+    assert fit.steps == 0
+    assert (fit.interval.lo, fit.interval.hi) == (Vec.fin([0, 0]), Vec.fin([2, 2]))
 
 
 def test_touching_boxes_are_decided_exactly():

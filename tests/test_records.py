@@ -26,7 +26,7 @@ from ordertopo.ordersets import (
 )
 from ordertopo.records import FrozenInstanceError, replace
 from ordertopo.theorems import TheoremStep
-from ordertopo.topology import SearchConfig, SearchReport, check_quasi_order_closed
+from ordertopo.topology import SearchReport, check_quasi_order_closed
 
 F = Fraction
 
@@ -45,7 +45,6 @@ CASES = {
     "geom": lambda: Geom(F(1, 3)),
     "mono_seq": lambda: MonoSeq(F(0), F(1), Harmonic(F(0)), 2),
     "shift_form": lambda: ShiftForm((F(1),), F(0), F(1)),
-    "search_config": lambda: SearchConfig(),
     "search_report": lambda: SearchReport(3, "g"),
     "theorem_step": lambda: TheoremStep("n", "op", "ok"),
     "run_result": lambda: RunResult(1, "text\n", {"status": "unknown"}),
@@ -66,7 +65,6 @@ PINNED_REPRS = {
     'geom': 'Geom(lam=Fraction(1, 3))',
     'mono_seq': 'MonoSeq(a=Fraction(0, 1), b=Fraction(1, 1), kernel=Harmonic(q=Fraction(0, 1)), start=2)',
     'shift_form': 'ShiftForm(fixed=(Fraction(1, 1),), head=Fraction(0, 1), tailv=Fraction(1, 1), start=1)',
-    'search_config': 'SearchConfig(grid_scale=Fraction(1, 1))',
     'search_report': "SearchReport(candidates=3, grids='g')",
     'theorem_step': "TheoremStep(name='n', operation='op', outcome='ok', detail='')",
     'run_result': "RunResult(exit_code=1, text='text\\n', report={'status': 'unknown'})",
@@ -121,7 +119,7 @@ def test_a_vector_hash_is_computed_once(monkeypatch):
     assert calls == 3
 
 
-@pytest.mark.parametrize("obj", [Vec.fin([1]), Shift(), TailZero(), SearchConfig()],
+@pytest.mark.parametrize("obj", [Vec.fin([1]), Shift(), TailZero(), CASES["coord_decay"]()],
                          ids=lambda obj: type(obj).__name__)
 def test_records_are_frozen(obj):
     name = obj.__match_args__[0] if obj.__match_args__ else "anything"
@@ -152,17 +150,16 @@ def test_post_init_normalizes_before_the_fields_are_compared():
 
 
 def test_replace_changes_fields_and_reruns_post_init():
-    config = SearchConfig()
-    changed = replace(config, grid_scale=F(1, 2))
-    assert changed.grid_scale == F(1, 2) and changed != config
-    assert config == SearchConfig()
-    assert replace(CoordDecay(Vec.fin([0]), Vec.fin([1])), q=2) == CoordDecay(
-        Vec.fin([0]), Vec.fin([1]), F(2))
+    decay = CoordDecay(Vec.fin([0]), Vec.fin([1]))
+    changed = replace(decay, q=F(1, 2))
+    assert changed.q == F(1, 2) and changed != decay
+    assert decay == CoordDecay(Vec.fin([0]), Vec.fin([1])) and decay.q == 0
+    assert replace(decay, q=2) == CoordDecay(Vec.fin([0]), Vec.fin([1]), F(2))
     assert replace(Dilate(TailZero(), 2), factor=3).factor == F(3)
     with pytest.raises(ValueError):
         replace(Dilate(TailZero(), 2), factor=0)
     with pytest.raises(TypeError):
-        replace(config, no_such_field=1)
+        replace(decay, no_such_field=1)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

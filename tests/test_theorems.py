@@ -258,3 +258,55 @@ def test_a_confirmed_interval_convergence_report_keeps_its_bytes():
     doc = parse_document({"carrier": carrier_to_json(findim(2)), "task": task})
     report = run_document(doc).report
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == PINNED_INTERVAL_CONVERGENCE_REPORT
+
+
+PINNED_BAND_PROPOSITION_REPORT = """{
+  "carrier": {
+    "kind": "tailseq"
+  },
+  "semantics": "strict-partial",
+  "task": "theorem",
+  "theorem": {
+    "conclusion": "confirmed",
+    "contradicts_expectations": false,
+    "inputs": {
+      "set": "Band"
+    },
+    "notes": [],
+    "steps": [
+      {
+        "detail": "certified: band-support",
+        "name": "quasi-order-closed",
+        "operation": "check_quasi_order_closed",
+        "outcome": "ok"
+      },
+      {
+        "detail": "status certified",
+        "name": "order-closed",
+        "operation": "check_order_closed",
+        "outcome": "ok"
+      },
+      {
+        "detail": "2 running-sup witnesses kept their limits inside",
+        "name": "running-sup-probes",
+        "operation": "running_sup_meet",
+        "outcome": "ok"
+      }
+    ],
+    "theorem_id": "band-proposition"
+  }
+}
+"""
+
+
+def test_a_confirmed_band_proposition_report_keeps_its_bytes():
+    # the order-closed step is derived from the certified quasi check, not
+    # re-run; its operation text "check_order_closed" is report wire text
+    from ordertopo.documents import parse_document, run_document
+    from ordertopo.serialize import setexpr_to_json
+
+    task = {"theorem": {"id": "band-proposition",
+                        "set": setexpr_to_json(Band((unit(TAIL_SEQ, 1),)))}}
+    doc = parse_document({"carrier": {"kind": "tailseq"}, "task": task})
+    report = run_document(doc).report
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == PINNED_BAND_PROPOSITION_REPORT
